@@ -329,7 +329,8 @@ void ApplyAndCheckXl2p(const FlashDevice& dev, const FsckOptions& opt,
       }
       if (cur != flash::kInvalidPpn) {
         auto cur_oob = dev.PeekOob(cur);
-        if (cur_oob.has_value() && cur_oob->seq > oob->seq) {
+        if (cur_oob.has_value() &&
+            ftl::DataVersion(*cur_oob) >= ftl::DataVersion(*oob)) {
           continue;  // superseded by a newer durable write: resolved long ago
         }
       }
@@ -379,7 +380,8 @@ void ApplyAndCheckXl2p(const FlashDevice& dev, const FsckOptions& opt,
     }
     if (cur != flash::kInvalidPpn) {
       auto cur_oob = dev.PeekOob(cur);
-      if (cur_oob.has_value() && cur_oob->seq > oob->seq) {
+      if (cur_oob.has_value() &&
+          ftl::DataVersion(*cur_oob) >= ftl::DataVersion(*oob)) {
         continue;  // superseded by a newer durable write
       }
     }

@@ -111,6 +111,7 @@ struct PageOob {
 // Counters of raw flash activity.
 struct FlashStats {
   uint64_t page_reads = 0;
+  uint64_t oob_reads = 0;  // OOB-only senses (the recovery scan)
   uint64_t page_programs = 0;
   uint64_t block_erases = 0;
   uint64_t torn_programs = 0;  // programs destroyed by power failure

@@ -203,17 +203,32 @@ Status FlashDevice::ReadPage(Ppn ppn, uint8_t* data, PageOob* oob,
 }
 
 StatusOr<std::optional<PageOob>> FlashDevice::ReadOob(Ppn ppn) {
+  std::vector<std::optional<PageOob>> out;
+  XFTL_RETURN_IF_ERROR(ReadOobBatch({ppn}, &out));
+  return out[0];
+}
+
+Status FlashDevice::ReadOobBatch(const std::vector<Ppn>& ppns,
+                                 std::vector<std::optional<PageOob>>* out) {
   XFTL_RETURN_IF_ERROR(CheckAlive());
-  XFTL_RETURN_IF_ERROR(CheckPpn(ppn));
-  Block& blk = blocks_[config_.BlockOf(ppn)];
-  uint32_t page = config_.PageInBlock(ppn);
-  // OOB-only reads still pay tR but almost no transfer time.
-  uint32_t bank = config_.BankOf(config_.BlockOf(ppn));
-  clock_->AdvanceTo(ScheduleOnBank(bank, config_.timings.read_page));
-  if (blk.data.empty() || blk.page_state[page] == PageState::kErased) {
-    return std::optional<PageOob>{};
+  for (Ppn ppn : ppns) XFTL_RETURN_IF_ERROR(CheckPpn(ppn));
+  out->assign(ppns.size(), std::nullopt);
+  // Every sense is queued at once: each waits only for its own bank, so the
+  // batch retires when the busiest bank drains its chain of tR.
+  SimNanos last = clock_->Now();
+  for (size_t i = 0; i < ppns.size(); ++i) {
+    BlockNum block = config_.BlockOf(ppns[i]);
+    last = std::max(last, ScheduleOnBank(config_.BankOf(block),
+                                         config_.timings.read_page));
+    const Block& blk = blocks_[block];
+    uint32_t page = config_.PageInBlock(ppns[i]);
+    if (!blk.data.empty() && blk.page_state[page] != PageState::kErased) {
+      (*out)[i] = blk.oob[page];
+    }
   }
-  return std::optional<PageOob>{blk.oob[page]};
+  clock_->AdvanceTo(last);
+  stats_.oob_reads += ppns.size();
+  return Status::OK();
 }
 
 Status FlashDevice::ProgramPage(Ppn ppn, const uint8_t* data,

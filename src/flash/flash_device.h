@@ -88,9 +88,17 @@ class FlashDevice {
   Status ReadPage(Ppn ppn, uint8_t* data, PageOob* oob = nullptr,
                   uint32_t* bit_errors = nullptr, uint32_t retry_level = 0);
 
-  // Reads only the OOB metadata (cheap recovery scan; charged a fraction of
-  // a full page read). Returns nullopt for erased pages.
+  // Reads only the OOB metadata of `ppn`: the one-page case of ReadOobBatch.
+  // Returns nullopt for erased pages.
   StatusOr<std::optional<PageOob>> ReadOob(Ppn ppn);
+
+  // Senses the OOB of every page in `ppns` as one queued batch (the
+  // recovery scan). Each sense pays tR on its page's bank but almost no
+  // channel time, so senses on different banks overlap and senses on one
+  // bank queue; the clock advances once, to the last completion. `out`
+  // receives one entry per ppn, nullopt for erased pages.
+  Status ReadOobBatch(const std::vector<Ppn>& ppns,
+                      std::vector<std::optional<PageOob>>* out);
 
   // Programs one page (submit). Fails if the page is not erased or out of
   // program order within its block. The data is latched immediately; the

@@ -398,21 +398,8 @@ Status PageFtl::RetireBlock(flash::BlockNum block) {
         if (lpn < l2p_.size() && l2p_[lpn] == from) ClearMapping(lpn);
         continue;
       }
-      flash::PageOob reloc;
-      reloc.lpn = lpn;
-      reloc.seq = next_seq_++;
+      flash::PageOob reloc = RelocationOob(lpn, from, old_oob);
       bool in_l2p = lpn < l2p_.size() && l2p_[lpn] == from;
-      reloc.tag = in_l2p ? kTagData : old_oob.tag;
-      if (!in_l2p && old_oob.tag == kTagSccData) {
-        reloc.seq = old_oob.seq;
-        reloc.link_lpn = old_oob.link_lpn;
-        reloc.link_seq = old_oob.link_seq;
-      } else if (!in_l2p && old_oob.tag == kTagData) {
-        // A superseded copy kept valid outside the L2P — an MVCC retained
-        // pre-image. A fresh sequence number would make the old version
-        // look newest to crash roll-forward; keep its original identity.
-        reloc.seq = old_oob.seq;
-      }
       flash::Ppn to;
       Status ps = ProgramWithRetirement(buf.data(), reloc, &to);
       if (!ps.ok()) {
@@ -428,6 +415,37 @@ Status PageFtl::RetireBlock(flash::BlockNum block) {
   retire_depth_--;
   if (result.ok()) MarkBlockBad(block);
   return result;
+}
+
+flash::PageOob PageFtl::RelocationOob(Lpn lpn, flash::Ppn from,
+                                      const flash::PageOob& old) {
+  flash::PageOob oob;
+  oob.lpn = lpn;
+  oob.seq = next_seq_++;
+  // A page whose transaction has committed (the L2P points at it) is
+  // ordinary data from now on; roll-forward must be able to find the moved
+  // copy without the transactional table. Uncommitted pages keep their
+  // transactional tag and are re-pointed via OnPageRelocated.
+  bool in_l2p = lpn < l2p_.size() && l2p_[lpn] == from;
+  oob.tag = in_l2p ? kTagData : old.tag;
+  if (!in_l2p && old.tag == kTagSccData) {
+    // Cyclic-commit pages are identified by (lpn, seq) from other pages'
+    // links; relocation must preserve that identity or in-flash cycles
+    // would break (TxFlash's firmware does the same).
+    oob.seq = old.seq;
+    oob.link_lpn = old.link_lpn;
+    oob.link_seq = old.link_seq;
+    return oob;
+  }
+  if (!in_l2p && old.tag == kTagData) {
+    // A superseded copy kept valid outside the L2P — an MVCC retained
+    // pre-image. A fresh sequence number would make the old version look
+    // newest to crash roll-forward and resurrect it over the committed
+    // copy; keep its original identity instead.
+    oob.seq = old.seq;
+  }
+  oob.link_seq = DataVersion(old);
+  return oob;
 }
 
 void PageFtl::InvalidatePpn(flash::Ppn ppn) {
@@ -689,31 +707,9 @@ Status PageFtl::CollectOneBlock() {
     }
     stats_.gc_copyback_reads++;
 
-    flash::PageOob oob;
-    oob.lpn = lpn;
-    oob.seq = next_seq_++;
-    // A page whose transaction has committed (the L2P points at it) is
-    // ordinary data from now on; roll-forward must be able to find the moved
-    // copy without the transactional table. Uncommitted pages keep their
-    // transactional tag and are re-pointed via OnPageRelocated.
-    bool in_l2p = lpn < l2p_.size() && l2p_[lpn] == from;
-    oob.tag = in_l2p ? kTagData : old_oob.tag;
-    if (!in_l2p && old_oob.tag == kTagSccData) {
-      // Cyclic-commit pages are identified by (lpn, seq) from other pages'
-      // links; relocation must preserve that identity or in-flash cycles
-      // would break (TxFlash's firmware does the same).
-      oob.seq = old_oob.seq;
-      oob.link_lpn = old_oob.link_lpn;
-      oob.link_seq = old_oob.link_seq;
-    } else if (!in_l2p && old_oob.tag == kTagData) {
-      // A superseded copy kept valid outside the L2P — an MVCC retained
-      // pre-image. A fresh sequence number would make the old version look
-      // newest to crash roll-forward and resurrect it over the committed
-      // copy; keep its original identity instead.
-      oob.seq = old_oob.seq;
-    }
     flash::Ppn to;
-    XFTL_RETURN_IF_ERROR(ProgramWithRetirement(buf.data(), oob, &to));
+    XFTL_RETURN_IF_ERROR(ProgramWithRetirement(
+        buf.data(), RelocationOob(lpn, from, old_oob), &to));
     stats_.gc_copyback_writes++;
 
     if (lpn < l2p_.size() && l2p_[lpn] == from) SetMapping(lpn, to);
@@ -917,9 +913,19 @@ Status PageFtl::Recover() {
   const auto& fc = device_->config();
   device_->ClearFailure();
   SimNanos recover_t0 = device_->clock()->Now();
+  const uint64_t oob_reads0 = device_->stats().oob_reads;
   InitLayout();
   next_seq_ = 1;
   scan_oob_.clear();
+  meta_scan_oob_.clear();
+  XFTL_RETURN_IF_ERROR(ScanDevice());
+  const uint64_t scanned = device_->stats().oob_reads - oob_reads0;
+  // The kRecover event carries the pages the scan sensed (a) and every OOB
+  // read the whole recovery issued (b); the two match when nothing re-reads.
+  auto trace_recover = [&] {
+    TraceFtl(trace::Op::kRecover, recover_t0, scanned,
+             device_->stats().oob_reads - oob_reads0, StatusCode::kOk);
+  };
   XFTL_RETURN_IF_ERROR(ScanMetaRegion());
   XFTL_RETURN_IF_ERROR(RollForwardDataBlocks());
   RebuildBlockState();
@@ -946,6 +952,7 @@ Status PageFtl::Recover() {
   }
   UpdateDegradation();
   scan_oob_.clear();
+  meta_scan_oob_.clear();
 
   // The meta ring's compaction invariant requires at least one ERASED
   // reserve block at all times. A crash can leave the region without one
@@ -979,7 +986,7 @@ Status PageFtl::Recover() {
       // Every meta block is bad: nothing can ever be persisted again, but
       // the recovered state is fully readable.
       EnterReadOnly("meta region has no usable blocks left");
-      TraceFtl(trace::Op::kRecover, recover_t0, 0, 0, StatusCode::kOk);
+      trace_recover();
       return Status::OK();
     }
     meta_active_ = first_good;
@@ -991,7 +998,36 @@ Status PageFtl::Recover() {
     XFTL_RETURN_IF_ERROR(FlushSubclassMeta());
     device_->SyncAll();
   }
-  TraceFtl(trace::Op::kRecover, recover_t0, 0, 0, StatusCode::kOk);
+  trace_recover();
+  return Status::OK();
+}
+
+Status PageFtl::ScanDevice() {
+  const auto& fc = device_->config();
+  std::vector<flash::Ppn> ppns;
+  std::vector<std::optional<flash::PageOob>> oobs;
+  // Blocks first..first+banks-1 sit on distinct banks, so one stripe per
+  // batch keeps every bank sensing at once; a batch retires before the next
+  // is queued. Walking stripes in block order fills the caches in block
+  // order too, which keeps ScannedOobs()'s iteration order what it was.
+  for (flash::BlockNum first = 0; first < fc.num_blocks;
+       first += fc.num_banks) {
+    ppns.clear();
+    const flash::BlockNum end = std::min(fc.num_blocks, first + fc.num_banks);
+    for (flash::BlockNum b = first; b < end; ++b) {
+      const flash::Ppn base = flash::Ppn(uint64_t(b) * fc.pages_per_block);
+      const uint32_t np = device_->NextProgramPage(b);
+      for (uint32_t p = 0; p < np; ++p) ppns.push_back(base + p);
+    }
+    if (ppns.empty()) continue;
+    XFTL_RETURN_IF_ERROR(device_->ReadOobBatch(ppns, &oobs));
+    for (size_t i = 0; i < ppns.size(); ++i) {
+      if (!oobs[i].has_value()) continue;
+      auto& cache = fc.BlockOf(ppns[i]) < config_.meta_blocks ? meta_scan_oob_
+                                                              : scan_oob_;
+      cache.emplace(ppns[i], *oobs[i]);
+    }
+  }
   return Status::OK();
 }
 
@@ -1018,9 +1054,9 @@ Status PageFtl::ScanMetaRegion() {
     uint32_t np = device_->NextProgramPage(b);
     for (uint32_t p = 0; p < np; ++p) {
       flash::Ppn ppn = flash::Ppn(uint64_t(b) * fc.pages_per_block + p);
-      XFTL_ASSIGN_OR_RETURN(auto oob_opt, device_->ReadOob(ppn));
-      if (!oob_opt.has_value()) continue;
-      const flash::PageOob& oob = *oob_opt;
+      const flash::PageOob* scanned = ScannedOob(ppn);
+      if (scanned == nullptr) continue;
+      const flash::PageOob& oob = *scanned;
       max_seq = std::max(max_seq, oob.seq);
       if (oob.tag == kTagMetaRoot) {
         if (!ReadPhysPage(ppn, buf.data()).ok()) {
@@ -1130,8 +1166,8 @@ Status PageFtl::LoadRootAndSegments(flash::Ppn root_ppn) {
       return Status::Corruption("root references out-of-region segment " +
                                 std::to_string(seg));
     }
-    XFTL_ASSIGN_OR_RETURN(auto seg_oob, device_->ReadOob(sppn));
-    if (!seg_oob.has_value() || seg_oob->tag != kTagMetaSegment ||
+    const flash::PageOob* seg_oob = ScannedOob(sppn);
+    if (seg_oob == nullptr || seg_oob->tag != kTagMetaSegment ||
         seg_oob->lpn != seg) {
       return Status::Corruption("L2P segment " + std::to_string(seg) +
                                 " missing at ppn " + std::to_string(sppn));
@@ -1179,10 +1215,9 @@ Status PageFtl::RollForwardDataBlocks() {
     uint32_t np = device_->NextProgramPage(b);
     for (uint32_t p = 0; p < np; ++p) {
       flash::Ppn ppn = flash::Ppn(uint64_t(b) * fc.pages_per_block + p);
-      XFTL_ASSIGN_OR_RETURN(auto oob_opt, device_->ReadOob(ppn));
-      if (!oob_opt.has_value()) continue;
-      const flash::PageOob& oob = *oob_opt;
-      scan_oob_[ppn] = oob;
+      const flash::PageOob* scanned = ScannedOob(ppn);
+      if (scanned == nullptr) continue;
+      const flash::PageOob& oob = *scanned;
       next_seq_ = std::max(next_seq_, oob.seq + 1);
       if (oob.tag != kTagData) continue;  // tx pages resolve via X-L2P
       if (oob.seq <= last_root_seq_) continue;
@@ -1212,8 +1247,6 @@ Status PageFtl::RollForwardDataBlocks() {
 void PageFtl::RebuildBlockState() {
   const auto& fc = device_->config();
   // First pass: rebuild per-block reverse maps from OOB and classify blocks.
-  std::vector<uint64_t> page_lpn(fc.TotalPages(), flash::kInvalidLpn);
-  std::vector<uint64_t> page_tag(fc.TotalPages(), 0);
   free_blocks_.clear();
   for (flash::BlockNum b = config_.meta_blocks; b < fc.num_blocks; ++b) {
     BlockInfo& blk = blocks_[b];
@@ -1232,13 +1265,9 @@ void PageFtl::RebuildBlockState() {
     blk.rmap.assign(fc.pages_per_block, flash::kInvalidLpn);
     blk.valid_count = 0;
     for (uint32_t p = 0; p < np; ++p) {
-      flash::Ppn ppn = flash::Ppn(uint64_t(b) * fc.pages_per_block + p);
-      auto oob_or = device_->ReadOob(ppn);
-      if (!oob_or.ok() || !oob_or.value().has_value()) continue;
-      const flash::PageOob& oob = *oob_or.value();
-      blk.rmap[p] = oob.lpn;
-      page_lpn[ppn] = oob.lpn;
-      page_tag[ppn] = oob.tag;
+      const flash::PageOob* oob =
+          ScannedOob(flash::Ppn(uint64_t(b) * fc.pages_per_block + p));
+      if (oob != nullptr) blk.rmap[p] = oob->lpn;
     }
   }
 
@@ -1251,9 +1280,10 @@ void PageFtl::RebuildBlockState() {
   for (Lpn lpn = 0; lpn < l2p_.size(); ++lpn) {
     flash::Ppn ppn = l2p_[lpn];
     if (ppn == flash::kInvalidPpn) continue;
-    if (page_lpn[ppn] != lpn ||
-        (page_tag[ppn] != kTagData && page_tag[ppn] != kTagTxData &&
-         page_tag[ppn] != kTagSccData) ||
+    const flash::PageOob* oob = ScannedOob(ppn);  // meta pages fail the tags
+    if (oob == nullptr || oob->lpn != lpn ||
+        (oob->tag != kTagData && oob->tag != kTagTxData &&
+         oob->tag != kTagSccData) ||
         device_->PageStateOf(ppn) == flash::FlashDevice::PageState::kTorn) {
       l2p_[lpn] = flash::kInvalidPpn;
       segment_dirty_[SegmentOf(lpn)] = true;

@@ -47,6 +47,17 @@ inline constexpr uint64_t kTagTxData = 5;
 // kTagTxData pages.
 inline constexpr uint64_t kTagSccData = 7;
 
+// Version of the data a page holds: the sequence number of the write that
+// produced it. A garbage-collected copy gets a fresh seq, because roll-
+// forward finds moved pages by seq, and carries its source's version in
+// link_seq. Recovery's "is this entry superseded?" checks compare versions,
+// not physical write order: GC may move an old committed copy after a newer
+// transactional write of the same page. Cyclic-commit pages own their link
+// fields and keep their original seq when moved.
+inline uint64_t DataVersion(const flash::PageOob& oob) {
+  return oob.tag != kTagSccData && oob.link_seq != 0 ? oob.link_seq : oob.seq;
+}
+
 // Garbage-collection victim selection policy.
 enum class GcPolicy {
   kGreedy,       // fewest valid pages (OpenSSD firmware default)
@@ -163,15 +174,18 @@ class PageFtl : public FtlInterface {
   // Invoked at the end of Recover(); subclasses reconcile their state.
   virtual Status FinishRecovery() { return Status::OK(); }
 
-  // OOB metadata of `ppn` as captured by the recovery scan (the scan reads
-  // every programmed data page's OOB anyway); null outside recovery or for
-  // unscanned pages. Lets subclasses validate their references without
-  // re-reading flash.
+  // OOB metadata of `ppn` as captured by the recovery scan, which senses
+  // every programmed page's OOB exactly once; null outside recovery or for
+  // erased pages. Every recovery step, subclasses included, resolves OOBs
+  // from here instead of re-reading flash.
   const flash::PageOob* ScannedOob(flash::Ppn ppn) const {
-    auto it = scan_oob_.find(ppn);
-    return it == scan_oob_.end() ? nullptr : &it->second;
+    const auto& cache =
+        device_->config().BlockOf(ppn) < config_.meta_blocks ? meta_scan_oob_
+                                                             : scan_oob_;
+    auto it = cache.find(ppn);
+    return it == cache.end() ? nullptr : &it->second;
   }
-  // The full recovery-scan OOB cache (valid only during Recover()).
+  // The data region's recovery-scan OOB cache (valid only during Recover()).
   const std::unordered_map<flash::Ppn, flash::PageOob>& ScannedOobs() const {
     return scan_oob_;
   }
@@ -289,6 +303,10 @@ class PageFtl : public FtlInterface {
   // power fails / spares run out). Updates validity + rmap on success.
   Status ProgramWithRetirement(const uint8_t* data, const flash::PageOob& oob,
                                flash::Ppn* out);
+  // OOB for the relocated copy of `lpn`'s page at `from`, whose OOB is `old`
+  // (GC and block retirement). Consumes one sequence number.
+  flash::PageOob RelocationOob(Lpn lpn, flash::Ppn from,
+                               const flash::PageOob& old);
   // Relocates every valid page off `block`, then marks it as a grown bad
   // block. Used for program-status failures; erase failures have nothing
   // left to relocate and go through MarkBlockBad directly.
@@ -310,6 +328,9 @@ class PageFtl : public FtlInterface {
   Status WriteRootRecord();
 
   // Recovery helpers.
+  // Senses every programmed page's OOB once into the scan caches, one
+  // bank-stripe of blocks per batch.
+  Status ScanDevice();
   Status ScanMetaRegion();
   Status LoadRootAndSegments(flash::Ppn root_ppn);
   // Reverts everything LoadRootAndSegments may have touched, so the next
@@ -355,8 +376,13 @@ class PageFtl : public FtlInterface {
   // Recursion guard: a retirement may itself hit a failing program.
   int retire_depth_ = 0;
 
-  // Recovery-scan OOB cache (valid only during Recover()).
+  // Recovery-scan OOB caches keyed by ppn, one for the data region and one
+  // for the meta region (valid only during Recover()). scan_oob_ holds only
+  // data pages, inserted in block order: SccFtl iterates it through
+  // ScannedOobs(), and which copy of a duplicated cycle page it keeps
+  // depends on that order.
   std::unordered_map<flash::Ppn, flash::PageOob> scan_oob_;
+  std::unordered_map<flash::Ppn, flash::PageOob> meta_scan_oob_;
 };
 
 }  // namespace xftl::ftl

@@ -34,6 +34,7 @@ inline void AbsorbFtlStats(MetricsRegistry* reg, const ftl::FtlStats& s) {
 // Snapshot-absorbs a FlashStats into `reg` under "flash." names.
 inline void AbsorbFlashStats(MetricsRegistry* reg, const flash::FlashStats& s) {
   reg->Set("flash.page_reads", s.page_reads);
+  reg->Set("flash.oob_reads", s.oob_reads);
   reg->Set("flash.page_programs", s.page_programs);
   reg->Set("flash.block_erases", s.block_erases);
   reg->Set("flash.torn_programs", s.torn_programs);

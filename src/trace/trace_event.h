@@ -50,7 +50,8 @@ enum class Op : uint8_t {
   kCheckpoint = 12, // sql layer (WAL)
   kGc = 13,         // ftl layer: one collected victim block
   kErase = 14,      // flash layer
-  kRecover = 15,    // ftl/sql: post-crash recovery pass
+  kRecover = 15,    // ftl/sql: post-crash recovery pass (ftl: a = pages the
+                    //   OOB scan sensed, b = OOB reads the recovery issued)
   kLinkFault = 16,  // sata: one injected link fault (b = kind: 0 crc,
                     //   1 timeout, 2 abort; latency = backoff paid, if any)
   kLinkReset = 17,  // sata: NCQ error protocol pass (a = failed tag,

@@ -101,14 +101,13 @@ Status AtomicWriteFtl::FinishRecovery() {
     for (const auto& [lpn, ppn] : list) {
       flash::Ppn cur = MappingOf(lpn);
       if (cur == ppn) continue;
-      auto oob_or = device()->ReadOob(ppn);
-      if (!oob_or.ok() || !oob_or.value().has_value()) continue;
-      const flash::PageOob& oob = *oob_or.value();
-      if (oob.lpn != lpn || oob.tag != kTagTxData) continue;  // GC moved it
+      const flash::PageOob* oob = ScannedOob(ppn);
+      if (oob == nullptr) continue;
+      if (oob->lpn != lpn || oob->tag != kTagTxData) continue;  // GC moved it
       if (cur != flash::kInvalidPpn) {
-        auto cur_oob = device()->ReadOob(cur);
-        if (cur_oob.ok() && cur_oob.value().has_value() &&
-            cur_oob.value()->seq > oob.seq) {
+        const flash::PageOob* cur_oob = ScannedOob(cur);
+        if (cur_oob != nullptr &&
+            DataVersion(*cur_oob) >= DataVersion(*oob)) {
           continue;
         }
         InvalidatePpn(cur);

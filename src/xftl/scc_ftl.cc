@@ -117,7 +117,7 @@ Status SccFtl::FinishRecovery() {
     if (cur == win.second) continue;
     if (cur != flash::kInvalidPpn) {
       const flash::PageOob* cur_oob = ScannedOob(cur);
-      if (cur_oob != nullptr && cur_oob->seq > win.first) continue;
+      if (cur_oob != nullptr && DataVersion(*cur_oob) >= win.first) continue;
       InvalidatePpn(cur);
     }
     SetMapping(lpn, win.second);

@@ -792,7 +792,8 @@ Status XFtl::FinishRecovery() {
       if (cur == e.new_ppn) continue;  // fold durable: locally committed
       if (cur != flash::kInvalidPpn) {
         const flash::PageOob* cur_oob = ScannedOob(cur);
-        if (cur_oob != nullptr && cur_oob->seq > oob->seq) {
+        if (cur_oob != nullptr &&
+            DataVersion(*cur_oob) >= DataVersion(*oob)) {
           xstats_.recovered_discarded++;
           continue;  // a newer durable write superseded this entry
         }
@@ -838,8 +839,10 @@ Status XFtl::FinishRecovery() {
       continue;
     }
     if (cur != flash::kInvalidPpn) {
+      // Versions, not seqs: GC may have moved an older committed copy of
+      // the page after this transaction wrote it.
       const flash::PageOob* cur_oob = ScannedOob(cur);
-      if (cur_oob != nullptr && cur_oob->seq > oob->seq) {
+      if (cur_oob != nullptr && DataVersion(*cur_oob) >= DataVersion(*oob)) {
         continue;  // a newer non-transactional write superseded this entry
       }
       InvalidatePpn(cur);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -410,6 +411,74 @@ TEST_F(FlashDeviceTest, ContentsSurviveReboot) {
   ASSERT_TRUE(r.value().has_value());
   EXPECT_EQ(r.value()->lpn, 42u);
   EXPECT_EQ(r.value()->seq, 17u);
+}
+
+// --- batched OOB reads (the recovery scan) ----------------------------------
+
+TEST_F(FlashDeviceTest, OobBatchOverlapsAcrossBanks) {
+  auto data = Pattern(0x5A);
+  // Two pages on each of blocks 0..3 (banks 0..3) and one on block 4, which
+  // shares bank 0: bank 0 holds the longest chain, three senses.
+  std::vector<Ppn> ppns = {0, 1, 8, 9, 16, 17, 24, 25, 32};
+  for (Ppn ppn : ppns) {
+    ASSERT_TRUE(dev_.ProgramPage(ppn, data.data(), {.lpn = ppn}).ok());
+  }
+  dev_.SyncAll();
+  SimNanos t0 = clock_.Now();
+  std::vector<std::optional<PageOob>> out;
+  ASSERT_TRUE(dev_.ReadOobBatch(ppns, &out).ok());
+  EXPECT_EQ(clock_.Now() - t0, 3 * dev_.config().timings.read_page);
+  EXPECT_EQ(dev_.stats().oob_reads, ppns.size());
+  ASSERT_EQ(out.size(), ppns.size());
+  for (size_t i = 0; i < ppns.size(); ++i) {
+    ASSERT_TRUE(out[i].has_value());
+    EXPECT_EQ(out[i]->lpn, ppns[i]);
+  }
+}
+
+TEST_F(FlashDeviceTest, OobBatchOnOneBankSerializes) {
+  auto data = Pattern(0x5B);
+  for (Ppn ppn = 0; ppn < 4; ++ppn) {
+    ASSERT_TRUE(dev_.ProgramPage(ppn, data.data(), {}).ok());
+  }
+  dev_.SyncAll();
+  SimNanos t0 = clock_.Now();
+  std::vector<std::optional<PageOob>> out;
+  // Pages 0..3 and the erased page 4 all sit in block 0 (bank 0).
+  ASSERT_TRUE(dev_.ReadOobBatch({0, 1, 2, 3, 4}, &out).ok());
+  EXPECT_EQ(clock_.Now() - t0, 5 * dev_.config().timings.read_page);
+  EXPECT_TRUE(out[3].has_value());
+  EXPECT_FALSE(out[4].has_value());
+}
+
+TEST_F(FlashDeviceTest, OobBatchOfOneIsReadOob) {
+  const SimNanos tR = dev_.config().timings.read_page;
+  auto data = Pattern(0x5C);
+  // An idle bank: one tR and no channel time.
+  ASSERT_TRUE(dev_.ProgramPage(0, data.data(), {.lpn = 9}).ok());
+  dev_.SyncAll();
+  SimNanos t0 = clock_.Now();
+  auto r = dev_.ReadOob(0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(clock_.Now() - t0, tR);
+  EXPECT_EQ(r.value()->lpn, 9u);
+  // A bank still programming: the sense queues behind the program.
+  ASSERT_TRUE(dev_.ProgramPage(1, data.data(), {}).ok());
+  SimNanos program_done = dev_.last_op_done();
+  std::vector<std::optional<PageOob>> out;
+  ASSERT_TRUE(dev_.ReadOobBatch({1}, &out).ok());
+  EXPECT_EQ(clock_.Now(), program_done + tR);
+  EXPECT_EQ(dev_.stats().oob_reads, 2u);
+  EXPECT_EQ(dev_.stats().page_reads, 0u);
+}
+
+TEST_F(FlashDeviceTest, OobBatchRefusesDeadDeviceAndBadPpn) {
+  std::vector<std::optional<PageOob>> out;
+  EXPECT_EQ(dev_.ReadOobBatch({Ppn(dev_.config().TotalPages())}, &out).code(),
+            StatusCode::kOutOfRange);
+  dev_.PowerCut();
+  EXPECT_EQ(dev_.ReadOobBatch({0}, &out).code(), StatusCode::kIoError);
+  EXPECT_EQ(dev_.stats().oob_reads, 0u);
 }
 
 // --- NAND failure injection -------------------------------------------------

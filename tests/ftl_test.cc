@@ -629,6 +629,55 @@ TEST(GcVictimEquivalenceTest, BucketsRebuiltByRecovery) {
   }
 }
 
+// --- restart cost -----------------------------------------------------------
+
+// Recovery senses every programmed page's OOB exactly once, one bank-stripe
+// at a time, so a full aged device boots in about ceil(data pages / banks)
+// tR plus the meta scan (its OOB senses and the root/segment page reads).
+// Reading each OOB twice, or one at a time, misses the bound several-fold.
+TEST(RecoveryScanTest, SensesEachPageOnceAcrossBanks) {
+  flash::FlashConfig fcfg;
+  fcfg.page_size = 512;
+  fcfg.pages_per_block = 32;
+  fcfg.num_blocks = 128;
+  fcfg.num_banks = 4;
+  SimClock clock;
+  flash::FlashDevice dev(fcfg, &clock);
+  FtlConfig cfg;
+  cfg.meta_blocks = 4;
+  cfg.min_free_blocks = 3;
+  cfg.num_logical_pages = uint64_t(
+      Ager::UtilizationForValidity(0.7) *
+      double((fcfg.num_blocks - cfg.meta_blocks - cfg.min_free_blocks - 2) *
+             fcfg.pages_per_block));
+  PageFtl ftl(&dev, cfg);
+  ASSERT_TRUE(Ager::Age(&ftl, /*seed=*/11, /*overwrite_rounds=*/4).ok());
+  ASSERT_TRUE(ftl.Flush().ok());
+  dev.PowerCut();
+
+  uint64_t data_pages = 0, meta_pages = 0;
+  for (flash::BlockNum b = 0; b < fcfg.num_blocks; ++b) {
+    (b < cfg.meta_blocks ? meta_pages : data_pages) += dev.NextProgramPage(b);
+  }
+  ASSERT_GT(data_pages, 100u * fcfg.pages_per_block);  // a full device
+  const flash::FlashStats before = dev.stats();
+  const SimNanos t0 = clock.Now();
+  ASSERT_TRUE(ftl.Recover().ok());
+  const SimNanos elapsed = clock.Now() - t0;
+
+  EXPECT_EQ(dev.stats().oob_reads - before.oob_reads, data_pages + meta_pages);
+  const SimNanos tR = fcfg.timings.read_page;
+  const uint64_t banks = fcfg.num_banks;
+  const SimNanos meta_scan =
+      SimNanos((meta_pages + banks - 1) / banks) * tR +
+      SimNanos(dev.stats().page_reads - before.page_reads) *
+          (tR + fcfg.timings.bus_per_page);
+  const SimNanos data_scan = SimNanos((data_pages + banks - 1) / banks) * tR;
+  EXPECT_LE(elapsed, SimNanos(1.1 * double(data_scan)) + meta_scan)
+      << "data scan floor " << data_scan << " ns, meta scan " << meta_scan
+      << " ns";
+}
+
 // --- aging ----------------------------------------------------------------
 
 TEST(AgerTest, UtilizationMonotonicInValidity) {

@@ -138,6 +138,44 @@ TEST(TracerTest, HistogramsAndCountsPerLayerOp) {
   EXPECT_EQ(tracer.latency(Layer::kFtl, Op::kGc).count(), 0u);
 }
 
+// A power cycle leaves one FTL kRecover event that explains the boot: the
+// pages the OOB scan sensed (a) and the OOB reads the recovery issued (b),
+// one per programmed page.
+TEST(TracerTest, RecoverEventCarriesScanSize) {
+  std::string path = TempPath("recover.trace");
+  SimClock clock;
+  storage::SimSsd ssd(storage::OpenSsdSpec(/*num_blocks=*/64), &clock);
+  auto writer = TraceWriter::Open(path, /*events_per_frame=*/64).value();
+  Tracer tracer(writer.get());
+  ssd.SetTracer(&tracer);
+  std::vector<uint8_t> buf(ssd.device()->page_size(), 0x5a);
+  for (uint64_t p = 0; p < 300; ++p) {
+    ASSERT_TRUE(ssd.device()->Write(p % 200, buf.data()).ok());
+  }
+  ASSERT_TRUE(ssd.device()->FlushBarrier().ok());
+  uint64_t programmed = 0;
+  const flash::FlashDevice& dev = *ssd.flash();
+  for (flash::BlockNum b = 0; b < dev.config().num_blocks; ++b) {
+    programmed += dev.NextProgramPage(b);
+  }
+  ASSERT_TRUE(ssd.PowerCycle().ok());
+  ASSERT_TRUE(writer->Close().ok());
+
+  auto events = TraceReader::ReadAll(path).value();
+  int recovers = 0;
+  for (const TraceEvent& e : events) {
+    if (e.layer != Layer::kFtl || e.op != Op::kRecover) continue;
+    recovers++;
+    EXPECT_EQ(e.a, programmed);
+    EXPECT_EQ(e.b, programmed);
+    EXPECT_GT(e.latency, 0u);
+  }
+  EXPECT_EQ(recovers, 1);
+  MetricsRegistry m;
+  AbsorbFlashStats(&m, dev.stats());
+  EXPECT_EQ(m.Get("flash.oob_reads"), programmed);
+}
+
 TEST(MetricsRegistryTest, SetAddGetAndJson) {
   MetricsRegistry m;
   m.Set("b", 2);

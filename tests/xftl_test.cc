@@ -256,6 +256,37 @@ TEST_F(XFtlTest, GcChurnThenAbortStillRestoresOldVersion) {
   EXPECT_EQ(ReadTag(0, 0), 1u);
 }
 
+// Regression: GC moved lpn 0's committed copy while a transaction held an
+// uncommitted write of it. The moved copy got a fresh seq, newer than the
+// transaction's page, so after a cut with no checkpoint in between recovery
+// took the committed X-L2P entry for superseded and tore the transaction.
+// Recovery must compare data versions, not physical write order.
+TEST_F(XFtlTest, GcMovingCommittedCopyUnderOpenTxnKeepsCommitAcrossCut) {
+  // Fill the logical space, so GC victims hold live data.
+  for (Lpn p = 0; p < 256; ++p) {
+    auto d = Page(1);
+    ASSERT_TRUE(ftl_.Write(p, d.data()).ok());
+  }
+  ASSERT_TRUE(ftl_.Flush().ok());  // the last checkpoint before the cut
+  const flash::Ppn committed = ftl_.MappingOf(0);
+  auto mine = Page(2);
+  ASSERT_TRUE(ftl_.TxWrite(7, 0, mine.data()).ok());
+  ASSERT_TRUE(ftl_.TxWrite(7, 255, mine.data()).ok());
+  // Churn until GC moves the committed copy, and stop there: the moved copy
+  // is then the newest page of lpn 0 on flash.
+  Rng rng(3);
+  for (int i = 0; ftl_.MappingOf(0) == committed; ++i) {
+    ASSERT_LT(i, 20000) << "GC never moved the committed copy";
+    auto d = Page(1000 + i);
+    ASSERT_TRUE(ftl_.Write(1 + rng.Uniform(254), d.data()).ok());
+  }
+  ASSERT_TRUE(ftl_.TxCommit(7).ok());
+  dev_.PowerCut();
+  ASSERT_TRUE(ftl_.Recover().ok());
+  EXPECT_EQ(ReadTag(0, 0), 2u);
+  EXPECT_EQ(ReadTag(0, 255), 2u);
+}
+
 TEST_F(XFtlTest, CommitThenChurnThenCrashKeepsCommittedData) {
   for (Lpn p = 0; p < 4; ++p) {
     auto v = Page(500 + p);

@@ -53,7 +53,7 @@ int Usage() {
       "  summary  per-layer/op latency percentiles, per-transaction page\n"
       "           counts, per-session transaction latency (multi-session\n"
       "           host traces), snapshot-read accounting (MVCC traces),\n"
-      "           write-amplification breakdown\n"
+      "           write-amplification breakdown, FTL restart scan size\n"
       "  replay   re-drive the SATA command stream on a fresh device and\n"
       "           check replay determinism\n"
       "           --profile=openssd|s830   device profile (default openssd)\n"
@@ -157,6 +157,10 @@ int Summary(const std::string& path) {
   std::map<uint32_t, SimNanos> member_down_since;
   uint64_t degraded_nanos = 0;
   SimNanos last_time = 0;
+  // FTL restarts: kFtl kRecover carries the pages the OOB scan sensed in
+  // `a` and every OOB read the recovery issued in `b`.
+  uint64_t recoveries = 0, recovery_nanos = 0;
+  uint64_t recovery_pages_scanned = 0, recovery_oob_reads = 0;
 
   for (const TraceEvent& e : events) {
     last_time = std::max(last_time, e.time);
@@ -220,6 +224,12 @@ int Summary(const std::string& path) {
       }
     }
     if (e.layer == Layer::kFtl && e.op == Op::kBarrier) ftl_barriers++;
+    if (e.layer == Layer::kFtl && e.op == Op::kRecover) {
+      recoveries++;
+      recovery_nanos += e.latency;
+      recovery_pages_scanned += e.a;
+      recovery_oob_reads += e.b;
+    }
     if (e.layer == Layer::kFlash && e.op == Op::kBarrier) {
       if (e.b == 0) {
         epochs_opened++;
@@ -388,6 +398,22 @@ int Summary(const std::string& path) {
                     100.0 * double(n) / double(flash_programs));
       }
     }
+  }
+
+  // FTL restarts: how much flash the boot scan touched. A healthy scan
+  // senses each page's OOB once, so oob reads == pages scanned; more means
+  // some recovery step re-read flash.
+  if (recoveries > 0) {
+    std::printf("\nftl restart (power-on recovery)\n");
+    std::printf("  recoveries: %llu   total %.1f ms   pages scanned %llu   "
+                "oob reads %llu (%.2f per page)\n",
+                (unsigned long long)recoveries, double(recovery_nanos) / 1e6,
+                (unsigned long long)recovery_pages_scanned,
+                (unsigned long long)recovery_oob_reads,
+                recovery_pages_scanned == 0
+                    ? 0.0
+                    : double(recovery_oob_reads) /
+                          double(recovery_pages_scanned));
   }
 
   // Error recovery: what the link-fault model injected and what the NCQ
