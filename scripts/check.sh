@@ -15,7 +15,8 @@
 # --sweep-seeds=N sets XFTL_SWEEP_SEEDS for the randomized crash sweep
 # (tests/crash_sweep_test.cc): N seeded power-cut points per (journal mode x
 # FTL) configuration, each checked for ACID invariants and a clean xftl_fsck
-# after recovery. The test default is 200.
+# after recovery, plus N/10 double-crash rows per (journal mode x FTL x
+# commit mode). The test default is 200.
 #
 # --link-fault-seeds=N sets XFTL_LINK_FAULT_SEEDS for the randomized SATA
 # link-fault sweep (tests/link_fault_test.cc): N seeded runs of probabilistic

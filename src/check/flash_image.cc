@@ -7,9 +7,10 @@ namespace xftl::check {
 namespace {
 
 constexpr uint32_t kImageMagic = 0x4d494658;  // "XFIM"
-// v2 appends the array-placement fields (num_devices, device_index,
-// stripe_pages) to the header; v1 images load with the standalone defaults.
-constexpr uint32_t kImageVersion = 2;
+// v2 appended the array-placement fields (num_devices, device_index,
+// stripe_pages) to the header; v3 adds each page's OOB block stamp. Older
+// images are refused: their roots also predate the active-block list.
+constexpr uint32_t kImageVersion = 3;
 
 // Little-endian fixed-width scalar I/O; field-by-field, so the format is
 // independent of struct layout and padding.
@@ -99,6 +100,7 @@ Status SaveImage(const flash::FlashDevice& dev, const ImageParams& params,
       w.U64(o.tag);
       w.U64(o.link_lpn);
       w.U64(o.link_seq);
+      w.U64(o.block_seq);
       w.Bytes(dev.PeekPageData(ppn), fc.page_size);
     }
   }
@@ -117,7 +119,7 @@ StatusOr<LoadedImage> LoadImage(const std::string& path, SimClock* clock) {
     return Status::Corruption(path + ": not a flash image");
   }
   uint32_t version = r.U32();
-  if (version != 1 && version != kImageVersion) {
+  if (version != kImageVersion) {
     std::fclose(f);
     return Status::Corruption(path + ": unsupported image version");
   }
@@ -131,11 +133,9 @@ StatusOr<LoadedImage> LoadImage(const std::string& path, SimClock* clock) {
   img.params.meta_blocks = r.U32();
   img.params.transactional = r.U32() != 0;
   img.params.num_logical_pages = r.U64();
-  if (version >= 2) {
-    img.params.num_devices = r.U32();
-    img.params.device_index = r.U32();
-    img.params.stripe_pages = r.U32();
-  }
+  img.params.num_devices = r.U32();
+  img.params.device_index = r.U32();
+  img.params.stripe_pages = r.U32();
   if (!r.ok || img.config.page_size == 0 || img.config.pages_per_block == 0 ||
       img.config.num_blocks == 0 || img.config.num_banks == 0) {
     std::fclose(f);
@@ -162,6 +162,7 @@ StatusOr<LoadedImage> LoadImage(const std::string& path, SimClock* clock) {
       o.tag = r.U64();
       o.link_lpn = r.U64();
       o.link_seq = r.U64();
+      o.block_seq = r.U64();
       r.Bytes(data.data(), data.size());
       if (!r.ok || p >= img.config.pages_per_block) {
         std::fclose(f);

@@ -8,6 +8,7 @@
 
 #include "common/coding.h"
 #include "common/crc32.h"
+#include "xftl/xftl.h"
 
 namespace xftl::check {
 namespace {
@@ -40,8 +41,11 @@ struct XEntry {
 // Everything the checker derives from the raw image.
 struct Derived {
   std::vector<flash::Ppn> l2p;
-  uint64_t root_seq = 0;
+  uint64_t root_seq = 0;  // the loaded root's own seq field (0 = none)
   std::vector<flash::BlockNum> bad_list;
+  // The loaded root's active list: block -> next page at root time.
+  std::map<flash::BlockNum, uint32_t> root_active;
+  uint64_t snapshot_id = 0;      // winning X-L2P snapshot (0 = none)
   std::vector<XEntry> xentries;  // winning snapshot, in page order
   // PREPARED pages recovery retains as in-doubt (valid but unmapped) —
   // mirrored for invariant 3's per-block validity accounting.
@@ -111,19 +115,17 @@ Derived Derive(const FlashDevice& dev, const FsckOptions& opt,
       const uint8_t* data = dev.PeekPageData(ppn);
 
       if (oob.tag == ftl::kTagMetaRoot) {
-        uint32_t root_nseg = DecodeFixed32(data + 12);
-        bool valid = false;
-        if (DecodeFixed32(data) == kRootMagic && root_nseg == nseg) {
-          size_t nbad_off = kRootHeaderSize + size_t(root_nseg) * 4;
-          if (nbad_off + 8 <= fc.page_size) {
-            uint32_t nbad = DecodeFixed32(data + nbad_off);
-            size_t crc_off = nbad_off + 4 + size_t(nbad) * 4;
-            if (crc_off + 4 <= fc.page_size &&
-                DecodeFixed32(data + crc_off) == Crc32c(data, crc_off)) {
-              valid = true;
-            }
-          }
+        // magic(4) seq(8) nseg(4) ppn[nseg](4*) nbad(4) bad[nbad](4*)
+        // nactive(4) {block(4) next_page(4)}[nactive] crc(4).
+        bool valid = DecodeFixed32(data) == kRootMagic &&
+                     DecodeFixed32(data + 12) == nseg;
+        size_t off = kRootHeaderSize + size_t(nseg) * 4;
+        for (size_t entry_size : {4, 8}) {  // bad list, then active list
+          valid = valid && off + 4 <= fc.page_size;
+          if (valid) off += 4 + size_t(DecodeFixed32(data + off)) * entry_size;
         }
+        valid = valid && off + 4 <= fc.page_size &&
+                DecodeFixed32(data + off) == Crc32c(data, off);
         if (valid) {
           roots.push_back({oob.seq, ppn});
         } else {
@@ -215,7 +217,12 @@ Derived Derive(const FlashDevice& dev, const FsckOptions& opt,
     for (uint32_t i = 0; i < nbad; ++i, off += 4) {
       d.bad_list.push_back(DecodeFixed32(data + off));
     }
-    d.root_seq = rc.seq;
+    uint32_t nactive = DecodeFixed32(data + off);
+    off += 4;
+    for (uint32_t i = 0; i < nactive; ++i, off += 8) {
+      d.root_active[DecodeFixed32(data + off)] = DecodeFixed32(data + off + 4);
+    }
+    d.root_seq = DecodeFixed64(data + 4);
     break;
   }
   if (d.root_seq == 0) {
@@ -223,6 +230,7 @@ Derived Derive(const FlashDevice& dev, const FsckOptions& opt,
     std::fill(d.l2p.begin(), d.l2p.end(), flash::kInvalidPpn);
     d.bad_list.clear();
   }
+  const std::vector<flash::Ppn> checkpoint_l2p = d.l2p;
 
   // --- OOB roll-forward over the data region -----------------------------
   struct Cand {
@@ -273,8 +281,41 @@ Derived Derive(const FlashDevice& dev, const FsckOptions& opt,
       d.xentries.insert(d.xentries.end(), sp.entries.begin(),
                         sp.entries.end());
     }
+    d.snapshot_id = it->first;
     break;
   }
+
+  // --- what a checkpoint-bounded boot cannot trust ------------------------
+  // A data block whose page-0 stamp is newer than the root (or unknown) was
+  // (re)opened after it; a block the root lists as active gained the pages
+  // from its recorded next page on. X-L2P recovery also consults each
+  // committed or prepared entry's page and its lpn's checkpointed copy.
+  std::set<flash::Ppn> untrusted;
+  auto add = [&](flash::Ppn ppn) {
+    if (ppn < fc.TotalPages() && fc.BlockOf(ppn) >= opt.ftl.meta_blocks &&
+        fc.PageInBlock(ppn) != 0 &&
+        dev.PageStateOf(ppn) != PageState::kErased) {
+      untrusted.insert(ppn);
+    }
+  };
+  for (flash::BlockNum b = opt.ftl.meta_blocks; b < fc.num_blocks; ++b) {
+    const flash::Ppn base = flash::Ppn(uint64_t(b) * fc.pages_per_block);
+    auto head = dev.PeekOob(base);
+    if (!head.has_value()) continue;
+    uint32_t from = fc.pages_per_block;
+    if (head->block_seq == 0 || head->block_seq > d.root_seq) {
+      from = 0;
+    } else if (auto it = d.root_active.find(b); it != d.root_active.end()) {
+      from = it->second;
+    }
+    for (uint32_t p = from; p < fc.pages_per_block; ++p) add(base + p);
+  }
+  for (const XEntry& e : d.xentries) {
+    if (e.status != kSlotCommitted && e.status != kSlotPrepared) continue;
+    add(e.ppn);
+    if (e.lpn < checkpoint_l2p.size()) add(checkpoint_l2p[e.lpn]);
+  }
+  rep->counters.post_root_pages = untrusted.size();
   return d;
 }
 
@@ -454,6 +495,41 @@ void CheckBadBlocks(const FlashDevice& dev, const Derived& d,
   }
 }
 
+// Invariant 5: every readable page of a good data block carries the block
+// stamp of its page 0.
+void CheckBlockStamps(const FlashDevice& dev, const FsckOptions& opt,
+                      FsckReport* rep) {
+  const flash::FlashConfig& fc = dev.config();
+  for (flash::BlockNum b = opt.ftl.meta_blocks; b < fc.num_blocks; ++b) {
+    if (dev.IsBadBlock(b)) continue;
+    const flash::Ppn base = flash::Ppn(uint64_t(b) * fc.pages_per_block);
+    auto head = dev.PeekOob(base);
+    if (!head.has_value()) continue;
+    for (uint32_t p = 1; p < fc.pages_per_block; ++p) {
+      if (dev.PageStateOf(base + p) != PageState::kProgrammed) continue;
+      const uint64_t stamp = dev.PeekOob(base + p)->block_seq;
+      if (stamp != head->block_seq) {
+        AddError(rep, "block " + std::to_string(b) + " page " +
+                          std::to_string(p) + " carries block stamp " +
+                          std::to_string(stamp) + ", its page 0 " +
+                          std::to_string(head->block_seq));
+      }
+    }
+  }
+}
+
+// Derives recovery's end state from the image and checks invariants 1, 2,
+// 4 and 5 on it.
+Derived DeriveAndCheck(const FlashDevice& dev, const FsckOptions& opt,
+                       FsckReport* rep) {
+  Derived d = Derive(dev, opt, rep);
+  ApplyAndCheckXl2p(dev, opt, &d, rep);
+  CheckMappings(dev, d, rep);
+  CheckBadBlocks(dev, d, rep);
+  CheckBlockStamps(dev, opt, rep);
+  return d;
+}
+
 }  // namespace
 
 std::string FsckReport::Summary() const {
@@ -467,29 +543,36 @@ std::string FsckReport::Summary() const {
      << counters.commit_records << " commit records ("
      << counters.snapshots_skipped << " torn epochs), "
      << counters.torn_meta_pages << " torn meta pages, "
-     << counters.persisted_bad_blocks << " persisted bad blocks";
+     << counters.persisted_bad_blocks << " persisted bad blocks, "
+     << counters.post_root_pages << " post-root pages";
   for (const std::string& e : errors) os << "\n  error: " << e;
   return os.str();
 }
 
 FsckReport CheckImage(const flash::FlashDevice& dev, const FsckOptions& opt) {
   FsckReport rep;
-  Derived d = Derive(dev, opt, &rep);
-  ApplyAndCheckXl2p(dev, opt, &d, &rep);
-  CheckMappings(dev, d, &rep);
-  CheckBadBlocks(dev, d, &rep);
+  DeriveAndCheck(dev, opt, &rep);
   return rep;
 }
 
 FsckReport CheckRecovered(const flash::FlashDevice& dev,
                           const FsckOptions& opt, const ftl::PageFtl& ftl) {
   FsckReport rep;
-  Derived d = Derive(dev, opt, &rep);
-  ApplyAndCheckXl2p(dev, opt, &d, &rep);
-  CheckMappings(dev, d, &rep);
-  CheckBadBlocks(dev, d, &rep);
+  Derived d = DeriveAndCheck(dev, opt, &rep);
 
   const flash::FlashConfig& fc = dev.config();
+  // The recovered FTL must have picked the same checkpoint and snapshot.
+  if (ftl.last_root_seq() != d.root_seq) {
+    AddError(&rep, "recovered FTL loaded root seq " +
+                       std::to_string(ftl.last_root_seq()) +
+                       ", image derives " + std::to_string(d.root_seq));
+  }
+  const auto* xftl = dynamic_cast<const ftl::XFtl*>(&ftl);
+  if (xftl != nullptr && xftl->complete_snapshot_id() != d.snapshot_id) {
+    AddError(&rep, "recovered X-FTL loaded snapshot " +
+                       std::to_string(xftl->complete_snapshot_id()) +
+                       ", image derives " + std::to_string(d.snapshot_id));
+  }
   // The recovered FTL must have arrived at the same table.
   std::vector<uint32_t> valid_per_block(fc.num_blocks, 0);
   for (uint64_t lpn = 0; lpn < d.l2p.size(); ++lpn) {
@@ -607,10 +690,7 @@ FsckReport CheckArray(const std::vector<LoadedImage>& members) {
     opt.ftl.num_logical_pages = m.params.num_logical_pages;
     opt.transactional = m.params.transactional;
     FsckReport mrep;
-    Derived d = Derive(*m.dev, opt, &mrep);
-    ApplyAndCheckXl2p(*m.dev, opt, &d, &mrep);
-    CheckMappings(*m.dev, d, &mrep);
-    CheckBadBlocks(*m.dev, d, &mrep);
+    Derived d = DeriveAndCheck(*m.dev, opt, &mrep);
     for (const std::string& e : mrep.errors) {
       AddError(&rep, "member " + std::to_string(i) + ": " + e);
     }
@@ -624,6 +704,7 @@ FsckReport CheckArray(const std::vector<LoadedImage>& members) {
     rep.counters.in_doubt_entries += mrep.counters.in_doubt_entries;
     rep.counters.commit_records += mrep.counters.commit_records;
     rep.counters.persisted_bad_blocks += mrep.counters.persisted_bad_blocks;
+    rep.counters.post_root_pages += mrep.counters.post_root_pages;
     derived.push_back(std::move(d));
   }
 

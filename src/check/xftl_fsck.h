@@ -14,6 +14,9 @@
 //      (cross-checked against a recovered FTL via CheckRecovered).
 //   4. The persisted grown-bad-block table is in range, duplicate-free and
 //      consistent with the blocks the device itself reports bad.
+//   5. Every readable page of a good data block carries its page 0's block
+//      stamp (PageOob::block_seq), which is what lets a checkpoint-bounded
+//      boot date a whole block by its first page.
 //
 // The derivation deliberately re-implements the on-flash format parsing
 // rather than calling into PageFtl/XFtl — a checker that shares the code it
@@ -51,6 +54,11 @@ struct FsckCounters {
   uint64_t in_doubt_entries = 0;   // PREPARED entries (array 2PC in-doubt)
   uint64_t commit_records = 0;     // coordinator commit records retained
   uint64_t persisted_bad_blocks = 0;
+  // Data pages beyond page 0 that a checkpoint-bounded boot must sense:
+  // every page written after the loaded root (blocks stamped after it, and
+  // the tails of the blocks it lists as active), plus each committed or
+  // prepared X-L2P entry's page and its lpn's checkpointed copy.
+  uint64_t post_root_pages = 0;
 };
 
 struct FsckReport {
@@ -63,13 +71,14 @@ struct FsckReport {
   std::string Summary() const;
 };
 
-// Checks invariants 1, 2 and 4 directly on the image.
+// Checks invariants 1, 2, 4 and 5 directly on the image.
 FsckReport CheckImage(const flash::FlashDevice& dev, const FsckOptions& opt);
 
 // CheckImage, plus cross-checks the derivation against an FTL that has just
-// recovered from this same image: L2P equality per lpn, per-block GC
-// validity counts (invariant 3), and bad-block agreement in both
-// directions. Runs after every PowerCycle()/CrashAndRecover() in tests.
+// recovered from this same image: the loaded root's seq and (X-FTL) the
+// loaded snapshot's id, L2P equality per lpn, per-block GC validity counts
+// (invariant 3), and bad-block agreement in both directions. Runs after
+// every PowerCycle()/CrashAndRecover() in tests.
 FsckReport CheckRecovered(const flash::FlashDevice& dev,
                           const FsckOptions& opt, const ftl::PageFtl& ftl);
 

@@ -106,6 +106,11 @@ struct PageOob {
   uint64_t tag = 0;            // layer-specific (e.g., meta-page kind)
   uint64_t link_lpn = kInvalidLpn;
   uint64_t link_seq = 0;
+  // Block stamp of a data page: the FTL's write sequence when it opened the
+  // page's block, identical on every page of one block lifetime (0 =
+  // unknown). A stamp newer than a mapping checkpoint proves the block was
+  // (re)opened after it.
+  uint64_t block_seq = 0;
 };
 
 // Counters of raw flash activity.

@@ -36,6 +36,13 @@ struct FtlStats {
                                           // segments, torn X-L2P snapshots)
   uint64_t recovery_stale_mappings = 0;   // checkpointed mappings discarded
   uint64_t recovery_discarded_txn_pages = 0;   // ACTIVE X-L2P entries rolled back
+  // Checkpoint-bounded boot scan: programmed data blocks whose pages beyond
+  // page 0 were trusted from the loaded root (the rest were written after
+  // it and scanned), OOB senses issued, and partial blocks resumed as active
+  // blocks instead of being sealed.
+  uint64_t recovery_blocks_trusted = 0;
+  uint64_t recovery_pages_scanned = 0;
+  uint64_t recovery_blocks_resumed = 0;
 
   // Total physical page programs, as the paper's Table 1 "Write" column
   // counts them (host + copied-back + metadata).
@@ -78,6 +85,9 @@ struct FtlStats {
     recovery_root_fallbacks += o.recovery_root_fallbacks;
     recovery_stale_mappings += o.recovery_stale_mappings;
     recovery_discarded_txn_pages += o.recovery_discarded_txn_pages;
+    recovery_blocks_trusted += o.recovery_blocks_trusted;
+    recovery_pages_scanned += o.recovery_pages_scanned;
+    recovery_blocks_resumed += o.recovery_blocks_resumed;
   }
 
   // Counter deltas since `base` (a snapshot taken earlier from the same
@@ -108,6 +118,12 @@ struct FtlStats {
         recovery_stale_mappings - base.recovery_stale_mappings;
     d.recovery_discarded_txn_pages =
         recovery_discarded_txn_pages - base.recovery_discarded_txn_pages;
+    d.recovery_blocks_trusted =
+        recovery_blocks_trusted - base.recovery_blocks_trusted;
+    d.recovery_pages_scanned =
+        recovery_pages_scanned - base.recovery_pages_scanned;
+    d.recovery_blocks_resumed =
+        recovery_blocks_resumed - base.recovery_blocks_resumed;
     return d;
   }
 };

@@ -12,8 +12,29 @@ namespace xftl::ftl {
 namespace {
 constexpr uint32_t kRootMagic = 0x5846524f;  // "XFRO"
 // Root record layout: magic(4) seq(8) num_segments(4) ppn[num_segments](4*)
-// num_bad(4) bad_block[num_bad](4*) crc(4). Everything little-endian.
+// num_bad(4) bad_block[num_bad](4*) num_active(4)
+// {block(4) next_page(4)}[num_active] crc(4). Everything little-endian. The
+// active list names each bank's open data block and its next page when the
+// root was written: the only blocks opened before the root that can gain
+// pages after it.
 constexpr size_t kRootHeaderSize = 4 + 8 + 4;
+
+// True if `buf` holds a well-formed, CRC-valid root record for `nseg`
+// segments.
+bool IsRootRecord(const uint8_t* buf, size_t page_size, uint32_t nseg) {
+  if (DecodeFixed32(buf) != kRootMagic || DecodeFixed32(buf + 12) != nseg) {
+    return false;
+  }
+  const size_t bad_off = kRootHeaderSize + size_t(nseg) * 4;
+  if (bad_off + 4 > page_size) return false;
+  const size_t active_off =
+      bad_off + 4 + size_t(DecodeFixed32(buf + bad_off)) * 4;
+  if (active_off + 4 > page_size) return false;
+  const size_t crc_off =
+      active_off + 4 + size_t(DecodeFixed32(buf + active_off)) * 8;
+  return crc_off + 4 <= page_size &&
+         DecodeFixed32(buf + crc_off) == Crc32c(buf, crc_off);
+}
 }  // namespace
 
 PageFtl::PageFtl(flash::FlashDevice* device, const FtlConfig& config)
@@ -247,6 +268,7 @@ StatusOr<flash::Ppn> PageFtl::NextDataPpnNoGc() {
       free_blocks_.erase(it);
       BlockInfo& blk = blocks_[b];
       blk.kind = BlockInfo::Kind::kActive;
+      blk.open_seq = next_seq_;
       blk.valid.assign(fc.pages_per_block, false);
       blk.rmap.assign(fc.pages_per_block, flash::kInvalidLpn);
       blk.valid_count = 0;
@@ -340,9 +362,11 @@ Status PageFtl::ProgramWithRetirement(const uint8_t* data,
                                       const flash::PageOob& oob,
                                       flash::Ppn* out) {
   const auto& fc = device_->config();
+  flash::PageOob stamped = oob;
   for (;;) {
     XFTL_ASSIGN_OR_RETURN(flash::Ppn ppn, NextDataPpnNoGc());
-    Status s = device_->ProgramPage(ppn, data, oob);
+    stamped.block_seq = blocks_[fc.BlockOf(ppn)].open_seq;
+    Status s = device_->ProgramPage(ppn, data, stamped);
     if (s.ok()) {
       BlockInfo& blk = blocks_[fc.BlockOf(ppn)];
       uint32_t page = fc.PageInBlock(ppn);
@@ -786,7 +810,8 @@ StatusOr<flash::Ppn> PageFtl::NextMetaPpn() {
 }
 
 Status PageFtl::ProgramMetaPage(uint64_t tag, uint64_t aux,
-                                const uint8_t* data) {
+                                const uint8_t* data, uint64_t link_lpn,
+                                uint64_t link_seq) {
   const auto& fc = device_->config();
   for (;;) {
     XFTL_ASSIGN_OR_RETURN(flash::Ppn ppn, NextMetaPpn());
@@ -794,6 +819,8 @@ Status PageFtl::ProgramMetaPage(uint64_t tag, uint64_t aux,
     oob.lpn = aux;
     oob.seq = next_seq_++;
     oob.tag = tag;
+    oob.link_lpn = link_lpn;
+    oob.link_seq = link_seq;
     Status s = device_->ProgramPage(ppn, data, oob);
     if (s.ok()) {
       stats_.meta_page_writes++;
@@ -889,7 +916,9 @@ Status PageFtl::WriteRootRecord() {
   // Grown-bad-block list: physical damage must survive power cycles, so it
   // rides with the root record. A device still worth writing to has far
   // fewer bad blocks than fit here; cap defensively regardless.
-  size_t max_bad = (fc.page_size - off - 8) / 4;
+  // Room left after num_bad, num_active, the active list and the crc.
+  size_t max_bad =
+      (fc.page_size - off - 4 - 4 - size_t(fc.num_banks) * 8 - 4) / 4;
   uint32_t nbad = uint32_t(std::min(bad_blocks_.size(), max_bad));
   EncodeFixed32(buf.data() + off, nbad);
   off += 4;
@@ -897,6 +926,18 @@ Status PageFtl::WriteRootRecord() {
     EncodeFixed32(buf.data() + off, bad_blocks_[i]);
     off += 4;
   }
+  // Active list: recovery trusts every other block opened before this root.
+  const size_t nactive_off = off;
+  off += 4;
+  uint32_t nactive = 0;
+  for (uint32_t bank = 0; bank < fc.num_banks; ++bank) {
+    if (active_blocks_[bank] == flash::kInvalidPpn) continue;
+    EncodeFixed32(buf.data() + off, active_blocks_[bank]);
+    EncodeFixed32(buf.data() + off + 4, active_next_page_[bank]);
+    off += 8;
+    nactive++;
+  }
+  EncodeFixed32(buf.data() + nactive_off, nactive);
   uint32_t crc = Crc32c(buf.data(), off);
   EncodeFixed32(buf.data() + off, crc);
   XFTL_RETURN_IF_ERROR(ProgramMetaPage(kTagMetaRoot, 0, buf.data()));
@@ -918,17 +959,82 @@ Status PageFtl::Recover() {
   next_seq_ = 1;
   scan_oob_.clear();
   meta_scan_oob_.clear();
-  XFTL_RETURN_IF_ERROR(ScanDevice());
+
+  // Batch 1: every programmed meta page, plus page 0 of every programmed
+  // data block, whose stamp dates the block's current lifetime.
+  std::vector<flash::Ppn> ppns;
+  for (flash::BlockNum b = 0; b < fc.num_blocks; ++b) {
+    const uint32_t np = device_->NextProgramPage(b);
+    const uint32_t sensed = b < config_.meta_blocks ? np : std::min(np, 1u);
+    for (uint32_t p = 0; p < sensed; ++p) {
+      ppns.push_back(flash::Ppn(uint64_t(b) * fc.pages_per_block + p));
+    }
+  }
+  std::vector<std::pair<flash::Ppn, flash::PageOob>> heads;
+  XFTL_RETURN_IF_ERROR(ScanOobs(ppns, &heads));
+  std::vector<uint64_t> stamps(fc.num_blocks, 0);
+  for (const auto& [ppn, oob] : heads) {
+    const flash::BlockNum b = fc.BlockOf(ppn);
+    if (b < config_.meta_blocks) {
+      meta_scan_oob_.emplace(ppn, oob);
+    } else {
+      stamps[b] = oob.block_seq;
+    }
+  }
+  XFTL_RETURN_IF_ERROR(ScanMetaRegion());
+
+  // Batch 2, against the loaded root: every page it cannot vouch for (so
+  // every page written after it), plus the pages subclass recovery will
+  // consult. Every other page is trusted; its validity and reverse map come
+  // from the L2P.
+  ppns.clear();
+  uint64_t trusted = 0, scanned_blocks = 0;
+  for (flash::BlockNum b = config_.meta_blocks; b < fc.num_blocks; ++b) {
+    const uint32_t np = device_->NextProgramPage(b);
+    if (np == 0) continue;
+    const uint32_t from = TailStart(b, stamps[b]);
+    (from < np ? scanned_blocks : trusted)++;
+    for (uint32_t p = std::max(from, 1u); p < np; ++p) {
+      ppns.push_back(flash::Ppn(uint64_t(b) * fc.pages_per_block + p));
+    }
+  }
+  std::vector<flash::Ppn> named;
+  NameRecoveryPages(&named);
+  for (flash::Ppn ppn : named) {
+    // Page 0 is in hand already; erased pages have nothing to sense.
+    if (ppn < fc.TotalPages() && fc.BlockOf(ppn) >= config_.meta_blocks &&
+        fc.PageInBlock(ppn) != 0 &&
+        fc.PageInBlock(ppn) < device_->NextProgramPage(fc.BlockOf(ppn))) {
+      ppns.push_back(ppn);
+    }
+  }
+  std::sort(ppns.begin(), ppns.end());
+  ppns.erase(std::unique(ppns.begin(), ppns.end()), ppns.end());
+  std::vector<std::pair<flash::Ppn, flash::PageOob>> data;
+  XFTL_RETURN_IF_ERROR(ScanOobs(ppns, &data));
+  for (const auto& head : heads) {
+    if (fc.BlockOf(head.first) >= config_.meta_blocks) data.push_back(head);
+  }
+  std::sort(data.begin(), data.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [ppn, oob] : data) scan_oob_.emplace(ppn, oob);
+  stats_.recovery_blocks_trusted += trusted;
+
   const uint64_t scanned = device_->stats().oob_reads - oob_reads0;
-  // The kRecover event carries the pages the scan sensed (a) and every OOB
-  // read the whole recovery issued (b); the two match when nothing re-reads.
+  const uint64_t resumed0 = stats_.recovery_blocks_resumed;
+  // kRecoverBlocks splits the programmed data blocks into trusted and
+  // scanned and counts the resumed ones; kRecover carries the pages the
+  // boot sensed (a) and every OOB read the whole recovery issued (b), which
+  // match when nothing re-reads.
   auto trace_recover = [&] {
+    TraceFtl(trace::Op::kRecoverBlocks, device_->clock()->Now(), trusted,
+             scanned_blocks, StatusCode::kOk,
+             uint32_t(stats_.recovery_blocks_resumed - resumed0));
     TraceFtl(trace::Op::kRecover, recover_t0, scanned,
              device_->stats().oob_reads - oob_reads0, StatusCode::kOk);
   };
-  XFTL_RETURN_IF_ERROR(ScanMetaRegion());
   XFTL_RETURN_IF_ERROR(RollForwardDataBlocks());
-  RebuildBlockState();
+  RebuildBlockState(stamps);
   XFTL_RETURN_IF_ERROR(FinishRecovery());
 
   // Re-apply grown bad blocks: the persisted list, plus blocks the device
@@ -953,6 +1059,7 @@ Status PageFtl::Recover() {
   UpdateDegradation();
   scan_oob_.clear();
   meta_scan_oob_.clear();
+  root_active_.clear();
 
   // The meta ring's compaction invariant requires at least one ERASED
   // reserve block at all times. A crash can leave the region without one
@@ -995,121 +1102,75 @@ Status PageFtl::Recover() {
               flash::kInvalidPpn);
     std::fill(segment_dirty_.begin(), segment_dirty_.end(), true);
     XFTL_RETURN_IF_ERROR(PersistMapping());
-    XFTL_RETURN_IF_ERROR(FlushSubclassMeta());
+    XFTL_RETURN_IF_ERROR(RewriteSubclassMeta());
     device_->SyncAll();
   }
   trace_recover();
   return Status::OK();
 }
 
-Status PageFtl::ScanDevice() {
-  const auto& fc = device_->config();
-  std::vector<flash::Ppn> ppns;
+Status PageFtl::ScanOobs(
+    const std::vector<flash::Ppn>& ppns,
+    std::vector<std::pair<flash::Ppn, flash::PageOob>>* out) {
+  // Every sense is queued at once, so the batch costs the busiest bank's
+  // chain of tR.
   std::vector<std::optional<flash::PageOob>> oobs;
-  // Blocks first..first+banks-1 sit on distinct banks, so one stripe per
-  // batch keeps every bank sensing at once; a batch retires before the next
-  // is queued. Walking stripes in block order fills the caches in block
-  // order too, which keeps ScannedOobs()'s iteration order what it was.
-  for (flash::BlockNum first = 0; first < fc.num_blocks;
-       first += fc.num_banks) {
-    ppns.clear();
-    const flash::BlockNum end = std::min(fc.num_blocks, first + fc.num_banks);
-    for (flash::BlockNum b = first; b < end; ++b) {
-      const flash::Ppn base = flash::Ppn(uint64_t(b) * fc.pages_per_block);
-      const uint32_t np = device_->NextProgramPage(b);
-      for (uint32_t p = 0; p < np; ++p) ppns.push_back(base + p);
-    }
-    if (ppns.empty()) continue;
-    XFTL_RETURN_IF_ERROR(device_->ReadOobBatch(ppns, &oobs));
-    for (size_t i = 0; i < ppns.size(); ++i) {
-      if (!oobs[i].has_value()) continue;
-      auto& cache = fc.BlockOf(ppns[i]) < config_.meta_blocks ? meta_scan_oob_
-                                                              : scan_oob_;
-      cache.emplace(ppns[i], *oobs[i]);
-    }
+  XFTL_RETURN_IF_ERROR(device_->ReadOobBatch(ppns, &oobs));
+  stats_.recovery_pages_scanned += ppns.size();
+  for (size_t i = 0; i < ppns.size(); ++i) {
+    if (oobs[i].has_value()) out->emplace_back(ppns[i], *oobs[i]);
   }
   return Status::OK();
 }
 
 Status PageFtl::ScanMetaRegion() {
   const auto& fc = device_->config();
-  std::vector<uint8_t> buf(fc.page_size);
   uint64_t max_seq = 0;
-
-  struct MetaPage {
-    flash::PageOob oob;
-    flash::Ppn ppn;
-  };
-  std::vector<MetaPage> subclass_pages;
-  // Every CRC-valid root in the region, newest first. A crash can leave the
-  // newest root pointing at a segment that never became durable, so loading
-  // falls back epoch by epoch until one checkpoint is whole.
-  struct RootCandidate {
-    uint64_t seq;
-    flash::Ppn ppn;
-  };
-  std::vector<RootCandidate> roots;
-
+  std::vector<MetaPageRef> roots;
+  std::vector<MetaPageRef> subclass_pages;
   for (flash::BlockNum b = 0; b < config_.meta_blocks; ++b) {
     uint32_t np = device_->NextProgramPage(b);
     for (uint32_t p = 0; p < np; ++p) {
       flash::Ppn ppn = flash::Ppn(uint64_t(b) * fc.pages_per_block + p);
-      const flash::PageOob* scanned = ScannedOob(ppn);
-      if (scanned == nullptr) continue;
-      const flash::PageOob& oob = *scanned;
-      max_seq = std::max(max_seq, oob.seq);
-      if (oob.tag == kTagMetaRoot) {
-        if (!ReadPhysPage(ppn, buf.data()).ok()) {
-          stats_.recovery_torn_meta_pages++;
-          continue;
-        }
-        uint32_t nseg = DecodeFixed32(buf.data() + 12);
-        if (DecodeFixed32(buf.data()) == kRootMagic &&
-            nseg == num_segments()) {
-          size_t nbad_off = kRootHeaderSize + size_t(nseg) * 4;
-          if (nbad_off + 8 <= fc.page_size) {
-            uint32_t nbad = DecodeFixed32(buf.data() + nbad_off);
-            size_t crc_off = nbad_off + 4 + size_t(nbad) * 4;
-            if (crc_off + 4 <= fc.page_size) {
-              uint32_t crc = DecodeFixed32(buf.data() + crc_off);
-              if (crc == Crc32c(buf.data(), crc_off)) {
-                roots.push_back({oob.seq, ppn});
-              }
-            }
-          }
-        }
-      } else if (oob.tag != kTagMetaSegment) {
-        subclass_pages.push_back({oob, ppn});
+      const flash::PageOob* oob = ScannedOob(ppn);
+      if (oob == nullptr) continue;
+      max_seq = std::max(max_seq, oob->seq);
+      if (oob->tag == kTagMetaRoot) {
+        roots.push_back({ppn, *oob});
+      } else if (oob->tag != kTagMetaSegment) {
+        subclass_pages.push_back({ppn, *oob});
       }
     }
   }
   next_seq_ = max_seq + 1;
 
+  // Newest root first, each read only when every newer one failed. A crash
+  // can tear a root, or leave it pointing at a segment that never became
+  // durable, so loading falls back epoch by epoch until one checkpoint is
+  // whole; the OOB roll-forward recaptures any newer durable data pages.
   std::sort(roots.begin(), roots.end(),
-            [](const RootCandidate& a, const RootCandidate& b) {
-              return a.seq > b.seq;
+            [](const MetaPageRef& x, const MetaPageRef& y) {
+              return x.oob.seq > y.oob.seq;
             });
-  for (const RootCandidate& rc : roots) {
-    Status ls = LoadRootAndSegments(rc.ppn);
+  std::vector<uint8_t> buf(fc.page_size);
+  for (const MetaPageRef& root : roots) {
+    if (!ReadPhysPage(root.ppn, buf.data()).ok()) {
+      stats_.recovery_torn_meta_pages++;
+      continue;
+    }
+    if (!IsRootRecord(buf.data(), fc.page_size, num_segments())) continue;
+    Status ls = LoadRootAndSegments(buf);
     if (ls.ok()) break;
     if (ls.code() != StatusCode::kCorruption) return ls;
-    // This epoch references a segment that never became durable (or tore).
-    // Fall back to the previous checkpoint; the OOB roll-forward scan will
-    // recapture any newer durable data pages.
     stats_.recovery_root_fallbacks++;
     ResetMappingState();
   }
 
-  // Hand subclass meta pages over in sequence order.
   std::sort(subclass_pages.begin(), subclass_pages.end(),
-            [](const MetaPage& a, const MetaPage& b) {
-              return a.oob.seq < b.oob.seq;
+            [](const MetaPageRef& x, const MetaPageRef& y) {
+              return x.oob.seq < y.oob.seq;
             });
-  std::vector<uint8_t> page(fc.page_size);
-  for (const MetaPage& mp : subclass_pages) {
-    if (!ReadPhysPage(mp.ppn, page.data()).ok()) continue;  // torn
-    OnMetaPageScanned(mp.oob, page);
-  }
+  OnMetaPagesScanned(subclass_pages);
 
   // Position the meta cursor on a good block with erased space.
   meta_active_ = 0;
@@ -1137,6 +1198,7 @@ void PageFtl::ResetMappingState() {
             flash::kInvalidPpn);
   std::fill(segment_dirty_.begin(), segment_dirty_.end(), false);
   last_root_seq_ = 0;
+  root_active_.clear();
   bad_blocks_.clear();
   bad_blocks_dirty_ = false;
   // LoadRootAndSegments flags persisted-bad meta blocks; un-flag them (the
@@ -1146,10 +1208,8 @@ void PageFtl::ResetMappingState() {
   }
 }
 
-Status PageFtl::LoadRootAndSegments(flash::Ppn root_ppn) {
+Status PageFtl::LoadRootAndSegments(const std::vector<uint8_t>& buf) {
   const auto& fc = device_->config();
-  std::vector<uint8_t> buf(fc.page_size);
-  XFTL_RETURN_IF_ERROR(ReadPhysPage(root_ppn, buf.data()));
   last_root_seq_ = DecodeFixed64(buf.data() + 4);
   uint32_t nseg = DecodeFixed32(buf.data() + 12);
   std::vector<uint8_t> seg_buf(fc.page_size);
@@ -1198,14 +1258,28 @@ Status PageFtl::LoadRootAndSegments(flash::Ppn root_ppn) {
     bad_blocks_.push_back(b);
     if (b < config_.meta_blocks) blocks_[b].kind = BlockInfo::Kind::kBad;
   }
+  uint32_t nactive = DecodeFixed32(buf.data() + off);
+  off += 4;
+  root_active_.clear();
+  for (uint32_t i = 0; i < nactive; ++i, off += 8) {
+    root_active_[DecodeFixed32(buf.data() + off)] =
+        DecodeFixed32(buf.data() + off + 4);
+  }
   bad_blocks_dirty_ = false;
   return Status::OK();
 }
 
+uint32_t PageFtl::TailStart(flash::BlockNum b, uint64_t stamp) const {
+  if (stamp == 0 || stamp > last_root_seq_) return 0;
+  auto it = root_active_.find(b);
+  return it == root_active_.end() ? device_->config().pages_per_block
+                                  : it->second;
+}
+
 Status PageFtl::RollForwardDataBlocks() {
   const auto& fc = device_->config();
-  // Newest-wins per lpn among data pages written after the checkpoint; a
-  // candidate must be readable (not torn) to win.
+  // Newest-wins per lpn among data pages written after the checkpoint (all
+  // of them were sensed); a candidate must be readable (not torn) to win.
   struct Candidate {
     uint64_t seq;
     flash::Ppn ppn;
@@ -1244,10 +1318,17 @@ Status PageFtl::RollForwardDataBlocks() {
   return Status::OK();
 }
 
-void PageFtl::RebuildBlockState() {
+void PageFtl::RebuildBlockState(const std::vector<uint64_t>& stamps) {
   const auto& fc = device_->config();
-  // First pass: rebuild per-block reverse maps from OOB and classify blocks.
+  // First pass: reverse maps of the sensed pages, block classification, and
+  // the partial blocks worth resuming. Resuming is safe only if the next
+  // boot is sure to scan whatever lands there, even if no new root is
+  // written first: the block is stamped after the loaded root, or the root
+  // lists it as active and the crash did not cut it back below the page the
+  // root recorded (TailStart <= np covers both). A newer root lists it as
+  // active in turn.
   free_blocks_.clear();
+  std::vector<flash::BlockNum> resumable;
   for (flash::BlockNum b = config_.meta_blocks; b < fc.num_blocks; ++b) {
     BlockInfo& blk = blocks_[b];
     uint32_t np = device_->NextProgramPage(b);
@@ -1259,8 +1340,9 @@ void PageFtl::RebuildBlockState() {
       free_blocks_.push_back(b);
       continue;
     }
-    blk.kind = BlockInfo::Kind::kSealed;  // partial blocks are not resumed
+    blk.kind = BlockInfo::Kind::kSealed;
     blk.sealed_seq = next_seq_;
+    blk.open_seq = stamps[b];
     blk.valid.assign(fc.pages_per_block, false);
     blk.rmap.assign(fc.pages_per_block, flash::kInvalidLpn);
     blk.valid_count = 0;
@@ -1269,6 +1351,12 @@ void PageFtl::RebuildBlockState() {
           ScannedOob(flash::Ppn(uint64_t(b) * fc.pages_per_block + p));
       if (oob != nullptr) blk.rmap[p] = oob->lpn;
     }
+    if (np < fc.pages_per_block && TailStart(b, stamps[b]) <= np &&
+        !device_->IsBadBlock(b) &&
+        std::find(bad_blocks_.begin(), bad_blocks_.end(), b) ==
+            bad_blocks_.end()) {
+      resumable.push_back(b);
+    }
   }
 
   // Validate checkpointed mappings: a checkpoint may reference a page whose
@@ -1276,14 +1364,23 @@ void PageFtl::RebuildBlockState() {
   // page was trimmed afterwards, so no newer copy exists to win roll-
   // forward), a page the crash dropped back to erased before it drained, or
   // a page the crash tore mid-program. Such entries are dropped — the L2P
-  // must never map to an erased or unreadable physical page.
+  // must never map to an erased or unreadable physical page. A page the
+  // scan trusted sits in a block not reopened since the root, so it still
+  // holds what the root mapped there unless the crash erased or tore it.
   for (Lpn lpn = 0; lpn < l2p_.size(); ++lpn) {
     flash::Ppn ppn = l2p_[lpn];
     if (ppn == flash::kInvalidPpn) continue;
     const flash::PageOob* oob = ScannedOob(ppn);  // meta pages fail the tags
-    if (oob == nullptr || oob->lpn != lpn ||
-        (oob->tag != kTagData && oob->tag != kTagTxData &&
-         oob->tag != kTagSccData) ||
+    const bool sound =
+        oob != nullptr
+            ? oob->lpn == lpn &&
+                  (oob->tag == kTagData || oob->tag == kTagTxData ||
+                   oob->tag == kTagSccData)
+            : ppn < fc.TotalPages() &&
+                  fc.BlockOf(ppn) >= config_.meta_blocks &&
+                  fc.PageInBlock(ppn) <
+                      device_->NextProgramPage(fc.BlockOf(ppn));
+    if (!sound ||
         device_->PageStateOf(ppn) == flash::FlashDevice::PageState::kTorn) {
       l2p_[lpn] = flash::kInvalidPpn;
       segment_dirty_[SegmentOf(lpn)] = true;
@@ -1292,12 +1389,40 @@ void PageFtl::RebuildBlockState() {
     }
     BlockInfo& blk = blocks_[fc.BlockOf(ppn)];
     uint32_t page = fc.PageInBlock(ppn);
+    blk.rmap[page] = lpn;
     if (!blk.valid[page]) {
       blk.valid[page] = true;
       blk.valid_count++;
     }
   }
+  // The newest resumable blocks fill the active slots, each on its own
+  // bank's slot when that is free, else on any free slot (as the allocator
+  // does when a bank has no free block).
   for (auto& a : active_blocks_) a = flash::kInvalidPpn;
+  std::stable_sort(resumable.begin(), resumable.end(),
+                   [&](flash::BlockNum x, flash::BlockNum y) {
+                     return stamps[x] > stamps[y];
+                   });
+  resumable.resize(std::min<size_t>(resumable.size(), fc.num_banks));
+  auto resume = [&](flash::BlockNum b, uint32_t slot) {
+    blocks_[b].kind = BlockInfo::Kind::kActive;
+    active_blocks_[slot] = b;
+    active_next_page_[slot] = device_->NextProgramPage(b);
+    stats_.recovery_blocks_resumed++;
+  };
+  std::vector<flash::BlockNum> displaced;
+  for (flash::BlockNum b : resumable) {
+    if (active_blocks_[fc.BankOf(b)] == flash::kInvalidPpn) {
+      resume(b, fc.BankOf(b));
+    } else {
+      displaced.push_back(b);
+    }
+  }
+  for (flash::BlockNum b : displaced) {
+    resume(b, uint32_t(std::find(active_blocks_.begin(), active_blocks_.end(),
+                                 flash::kInvalidPpn) -
+                       active_blocks_.begin()));
+  }
   // Validity counts are final for everything the checkpoint knew about;
   // subclass recovery (MarkPpnValid for transactional pages) keeps the
   // buckets current incrementally from here.

@@ -9,7 +9,10 @@
 //     and a root record.
 //   * Recover() rebuilds the L2P from the latest root + segment snapshots and
 //     rolls forward using per-page OOB sequence numbers, so writes that did
-//     reach the flash after the last barrier are not lost.
+//     reach the flash after the last barrier are not lost. The root bounds
+//     the scan: only blocks (re)opened after it, the tails of the blocks it
+//     lists as active, and the pages subclass recovery consults are sensed;
+//     every other page is trusted from the checkpoint.
 //
 // Subclass hooks (protected virtuals) let X-FTL pin uncommitted pages during
 // garbage collection and relocate its X-L2P references.
@@ -131,6 +134,9 @@ class PageFtl : public FtlInterface {
 
   flash::FlashDevice* device() const { return device_; }
   const FtlConfig& ftl_config() const { return config_; }
+  // Seq of the root record the L2P was last loaded from or written as (0 =
+  // none). xftl_fsck checks it against its own derivation.
+  uint64_t last_root_seq() const { return last_root_seq_; }
 
   // Number of currently erased data blocks (observability/tests).
   size_t free_block_count() const { return free_blocks_.size(); }
@@ -167,17 +173,31 @@ class PageFtl : public FtlInterface {
   virtual void OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to);
   // Extra meta pages a subclass persists inside Flush() (e.g., X-L2P).
   virtual Status FlushSubclassMeta() { return Status::OK(); }
-  // Invoked by Recover() with every surviving meta page so subclasses can
-  // pick up their own snapshots (called in increasing seq order).
-  virtual void OnMetaPageScanned(const flash::PageOob& oob,
-                                 const std::vector<uint8_t>& data) {}
-  // Invoked at the end of Recover(); subclasses reconcile their state.
+  // Persists every meta page a subclass owns, changed or not: recovery just
+  // erased the whole meta region to restore its reserve block.
+  virtual Status RewriteSubclassMeta() { return FlushSubclassMeta(); }
+  // A meta page of the subclass's own (tag other than root or segment) as
+  // the recovery scan found it.
+  struct MetaPageRef {
+    flash::Ppn ppn;
+    flash::PageOob oob;
+  };
+  // Invoked by Recover() with the OOB of every subclass meta page in the
+  // ring, in increasing seq order, once the root is loaded; subclasses
+  // full-read only the pages they need (ReadPhysPage) and stage their state.
+  virtual void OnMetaPagesScanned(const std::vector<MetaPageRef>& pages) {}
+  // Appends the data pages whose OOB FinishRecovery() will consult, given
+  // the checkpointed L2P just loaded (MappingOf). Recover() senses them with
+  // the post-checkpoint tail, so ScannedOob() answers for each of them.
+  virtual void NameRecoveryPages(std::vector<flash::Ppn>* ppns) const {}
+  // Invoked at the end of Recover(); subclasses reconcile their state. Runs
+  // on DRAM only: every OOB it needs was named above.
   virtual Status FinishRecovery() { return Status::OK(); }
 
-  // OOB metadata of `ppn` as captured by the recovery scan, which senses
-  // every programmed page's OOB exactly once; null outside recovery or for
-  // erased pages. Every recovery step, subclasses included, resolves OOBs
-  // from here instead of re-reading flash.
+  // OOB metadata of `ppn` as captured by the recovery scan; null outside
+  // recovery, for erased pages, and for pages the scan trusted from the
+  // checkpoint without sensing them. Every recovery step, subclasses
+  // included, resolves OOBs from here instead of re-reading flash.
   const flash::PageOob* ScannedOob(flash::Ppn ppn) const {
     const auto& cache =
         device_->config().BlockOf(ppn) < config_.meta_blocks ? meta_scan_oob_
@@ -231,7 +251,11 @@ class PageFtl : public FtlInterface {
   // Clears the L2P entry.
   void ClearMapping(Lpn lpn);
   // Writes one meta page (root/segment/x-l2p payload) into the meta region.
-  Status ProgramMetaPage(uint64_t tag, uint64_t aux, const uint8_t* data);
+  // `link_lpn`/`link_seq` fill OOB link fields meta pages otherwise leave
+  // unused, so a subclass can describe a page to the recovery scan.
+  Status ProgramMetaPage(uint64_t tag, uint64_t aux, const uint8_t* data,
+                         uint64_t link_lpn = flash::kInvalidLpn,
+                         uint64_t link_seq = 0);
   // Persists dirty L2P segments and the root record. Shared by Flush() and
   // subclass commit paths.
   Status PersistMapping();
@@ -246,10 +270,10 @@ class PageFtl : public FtlInterface {
   // Records one FTL-layer trace event ending now (no-op when the flash
   // device has no tracer attached). Subclasses record their own layer.
   void TraceFtl(trace::Op op, SimNanos t0, uint64_t a, uint64_t b,
-                StatusCode code) const {
+                StatusCode code, uint32_t tid = 0) const {
     trace::Tracer* t = device_->tracer();
     if (t != nullptr) {
-      t->Record(trace::Layer::kFtl, op, t0, 0, a, b,
+      t->Record(trace::Layer::kFtl, op, t0, tid, a, b,
                 device_->clock()->Now() - t0, code);
     }
   }
@@ -265,6 +289,7 @@ class PageFtl : public FtlInterface {
     Kind kind = Kind::kFree;
     uint32_t valid_count = 0;
     uint64_t sealed_seq = 0;  // write sequence when sealed (GC age)
+    uint64_t open_seq = 0;    // write sequence when opened (the OOB stamp)
     std::vector<bool> valid;
     std::vector<Lpn> rmap;  // lpn per page (RAM mirror of OOB)
   };
@@ -328,16 +353,29 @@ class PageFtl : public FtlInterface {
   Status WriteRootRecord();
 
   // Recovery helpers.
-  // Senses every programmed page's OOB once into the scan caches, one
-  // bank-stripe of blocks per batch.
-  Status ScanDevice();
+  // The recovery scan: senses the OOB of every page in `ppns` as one bank-
+  // interleaved batch and appends the programmed ones to `out` in order.
+  Status ScanOobs(const std::vector<flash::Ppn>& ppns,
+                  std::vector<std::pair<flash::Ppn, flash::PageOob>>* out);
+  // Picks the newest loadable root and hands the subclass its meta pages.
   Status ScanMetaRegion();
-  Status LoadRootAndSegments(flash::Ppn root_ppn);
+  // Loads the root record in `root` (a CRC-valid page) and the segments it
+  // references; Corruption if the checkpoint is not whole.
+  Status LoadRootAndSegments(const std::vector<uint8_t>& root);
   // Reverts everything LoadRootAndSegments may have touched, so the next
   // (older) root candidate starts from a clean slate.
   void ResetMappingState();
+  // First page of data block `b` the loaded root cannot vouch for, given
+  // its page-0 stamp: 0 when the block was (re)opened after the root or its
+  // stamp is unknown, the recorded next page when the root lists it as an
+  // active block, pages_per_block (all trusted) otherwise.
+  uint32_t TailStart(flash::BlockNum b, uint64_t stamp) const;
   Status RollForwardDataBlocks();
-  void RebuildBlockState();
+  // Classifies data blocks and rebuilds validity and reverse maps: sensed
+  // pages from their OOB, trusted ones from the L2P. `stamps` holds each
+  // block's page-0 block stamp. Resumes the newest partial blocks whose
+  // future pages the next boot is sure to scan, one per active slot.
+  void RebuildBlockState(const std::vector<uint64_t>& stamps);
 
   std::vector<flash::Ppn> l2p_;
   std::vector<BlockInfo> blocks_;
@@ -358,6 +396,9 @@ class PageFtl : public FtlInterface {
   // Latest durable snapshot ppn per segment (kInvalidPpn = never written).
   std::vector<flash::Ppn> segment_snapshot_ppn_;
   uint64_t last_root_seq_ = 0;
+  // Recovery only: the loaded root's active blocks (block -> next page at
+  // root time), the only blocks opened before it that can hold newer pages.
+  std::unordered_map<flash::BlockNum, uint32_t> root_active_;
 
   // Meta-region cursor.
   flash::BlockNum meta_active_ = 0;
@@ -378,9 +419,9 @@ class PageFtl : public FtlInterface {
 
   // Recovery-scan OOB caches keyed by ppn, one for the data region and one
   // for the meta region (valid only during Recover()). scan_oob_ holds only
-  // data pages, inserted in block order: SccFtl iterates it through
-  // ScannedOobs(), and which copy of a duplicated cycle page it keeps
-  // depends on that order.
+  // data pages, inserted in block order once both scan batches are in:
+  // SccFtl iterates it through ScannedOobs(), and which copy of a
+  // duplicated cycle page it keeps depends on that order.
   std::unordered_map<flash::Ppn, flash::PageOob> scan_oob_;
   std::unordered_map<flash::Ppn, flash::PageOob> meta_scan_oob_;
 };

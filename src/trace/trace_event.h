@@ -79,8 +79,12 @@ enum class Op : uint8_t {
                     //   from a retained pre-image, 0 from the live L2P)
   kSnapDefer = 28,  // xftl: a release scan kept committed slots alive for a
                     //   pinned snapshot (a = slots deferred, b = oldest pin)
+  kRecoverBlocks = 29,  // ftl: block split of a power-on scan, recorded with
+                        //   its kRecover (a = programmed data blocks trusted
+                        //   from the loaded checkpoint, b = blocks scanned as
+                        //   written after it, tid = partial blocks resumed)
 };
-inline constexpr int kNumOps = 29;
+inline constexpr int kNumOps = 30;
 const char* OpName(Op op);
 
 // One trace record. Field meaning by layer:

@@ -51,6 +51,7 @@ const char* OpName(Op op) {
     case Op::kSnapUnpin:  return "snap-unpin";
     case Op::kSnapRead:   return "snap-read";
     case Op::kSnapDefer:  return "snap-defer";
+    case Op::kRecoverBlocks: return "recover-blocks";
   }
   return "?";
 }

@@ -75,22 +75,36 @@ void AtomicWriteFtl::OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to) {
   }
 }
 
-void AtomicWriteFtl::OnMetaPageScanned(const flash::PageOob& oob,
-                                       const std::vector<uint8_t>& data) {
-  if (oob.tag != kTagAwCommit) return;
+void AtomicWriteFtl::OnMetaPagesScanned(const std::vector<MetaPageRef>& pages) {
+  // Every commit record in the ring is read: each is a batch to replay.
   const uint32_t page_size = this->page_size();
-  if (DecodeFixed32(data.data()) != kAwMagic) return;
-  if (DecodeFixed32(data.data() + page_size - 4) !=
-      Crc32c(data.data(), page_size - 4)) {
-    return;  // torn commit record: the batch never committed
+  std::vector<uint8_t> data(page_size);
+  for (const MetaPageRef& mp : pages) {
+    if (mp.oob.tag != kTagAwCommit) continue;
+    if (!ReadPhysPage(mp.ppn, data.data()).ok()) continue;  // torn
+    if (DecodeFixed32(data.data()) != kAwMagic) continue;
+    if (DecodeFixed32(data.data() + page_size - 4) !=
+        Crc32c(data.data(), page_size - 4)) {
+      continue;  // torn commit record: the batch never committed
+    }
+    uint32_t count = DecodeFixed32(data.data() + 4);
+    auto& list = recovery_records_[mp.oob.seq];
+    size_t off = kAwHeaderSize;
+    for (uint32_t i = 0; i < count; ++i, off += kAwEntrySize) {
+      Lpn lpn = DecodeFixed64(data.data() + off);
+      flash::Ppn ppn = DecodeFixed32(data.data() + off + 8);
+      list.emplace_back(lpn, ppn);
+    }
   }
-  uint32_t count = DecodeFixed32(data.data() + 4);
-  auto& list = recovery_records_[oob.seq];
-  size_t off = kAwHeaderSize;
-  for (uint32_t i = 0; i < count; ++i, off += kAwEntrySize) {
-    Lpn lpn = DecodeFixed64(data.data() + off);
-    flash::Ppn ppn = DecodeFixed32(data.data() + off + 8);
-    list.emplace_back(lpn, ppn);
+}
+
+void AtomicWriteFtl::NameRecoveryPages(std::vector<flash::Ppn>* ppns) const {
+  // FinishRecovery consults each recorded page and its lpn's current copy.
+  for (const auto& [seq, list] : recovery_records_) {
+    for (const auto& [lpn, ppn] : list) {
+      ppns->push_back(ppn);
+      ppns->push_back(MappingOf(lpn));
+    }
   }
 }
 

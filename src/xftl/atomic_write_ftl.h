@@ -36,8 +36,8 @@ class AtomicWriteFtl : public PageFtl {
   uint64_t atomic_batches() const { return atomic_batches_; }
 
  protected:
-  void OnMetaPageScanned(const flash::PageOob& oob,
-                         const std::vector<uint8_t>& data) override;
+  void OnMetaPagesScanned(const std::vector<MetaPageRef>& pages) override;
+  void NameRecoveryPages(std::vector<flash::Ppn>* ppns) const override;
   Status FinishRecovery() override;
   // Garbage collection may relocate pages of the batch being assembled
   // (later programs can trigger GC); keep the in-flight list current.

@@ -59,6 +59,18 @@ void SccFtl::OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to) {
   }
 }
 
+void SccFtl::NameRecoveryPages(std::vector<flash::Ppn>* ppns) const {
+  // Cycle analysis needs every page: a cycle member can sit in any block,
+  // and the checkpoint says nothing about which cycles completed.
+  const flash::FlashConfig& fc = device()->config();
+  for (flash::BlockNum b = ftl_config().meta_blocks; b < fc.num_blocks; ++b) {
+    const uint32_t np = device()->NextProgramPage(b);
+    for (uint32_t p = 0; p < np; ++p) {
+      ppns->push_back(flash::Ppn(uint64_t(b) * fc.pages_per_block + p));
+    }
+  }
+}
+
 Status SccFtl::FinishRecovery() {
   // Cycle analysis over the pages the recovery scan found. A node is the
   // (lpn, seq) identity of an SCC page; a transaction is committed iff

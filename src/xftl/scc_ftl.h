@@ -41,6 +41,7 @@ class SccFtl : public PageFtl {
   uint64_t discarded_cycles() const { return discarded_cycles_; }
 
  protected:
+  void NameRecoveryPages(std::vector<flash::Ppn>* ppns) const override;
   Status FinishRecovery() override;
   void OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to) override;
 

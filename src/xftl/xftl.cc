@@ -651,9 +651,11 @@ Status XFtl::WriteXl2pSnapshot() {
     }
     uint32_t crc = Crc32c(buf.data(), page_size - 4);
     EncodeFixed32(buf.data() + page_size - 4, crc);
-    XFTL_RETURN_IF_ERROR(ProgramMetaPage(kTagXl2p, pg, buf.data()));
+    XFTL_RETURN_IF_ERROR(
+        ProgramMetaPage(kTagXl2p, pg, buf.data(), total_pages, snap_id));
     xstats_.xl2p_snapshot_pages++;
   }
+  complete_snapshot_id_ = std::max(complete_snapshot_id_, snap_id);
   xl2p_dirty_ = false;
   return Status::OK();
 }
@@ -683,23 +685,69 @@ void XFtl::OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to) {
   }
 }
 
-void XFtl::OnMetaPageScanned(const flash::PageOob& oob,
-                             const std::vector<uint8_t>& data) {
-  if (oob.tag != kTagXl2p) return;
+void XFtl::OnMetaPagesScanned(const std::vector<MetaPageRef>& pages) {
+  // Every snapshot page's OOB names its snapshot id and page count, so the
+  // scan alone shows which epochs are whole. Only the newest whole one is
+  // read; a page failing its CRC (torn) sends recovery to the next epoch,
+  // and every epoch skipped is counted. Ids order epochs even when a
+  // snapshot written inside a meta compaction lands between the pages of
+  // an older one.
+  struct Epoch {
+    uint64_t total_pages = 0;
+    std::map<uint64_t, std::vector<flash::Ppn>> copies;  // index -> newest first
+  };
+  std::map<uint64_t, Epoch> epochs;
+  for (const MetaPageRef& mp : pages) {  // increasing seq
+    if (mp.oob.tag != kTagXl2p) continue;
+    Epoch& e = epochs[mp.oob.link_seq];
+    e.total_pages = mp.oob.link_lpn;
+    auto& copies = e.copies[mp.oob.lpn];
+    copies.insert(copies.begin(), mp.ppn);
+  }
+  recovery_entries_.clear();
+  complete_snapshot_id_ = 0;
+  for (auto it = epochs.rbegin(); it != epochs.rend(); ++it) {
+    const Epoch& e = it->second;
+    std::vector<Slot> entries;
+    bool whole = e.total_pages > 0 && e.copies.size() == e.total_pages;
+    for (auto c = e.copies.begin(); whole && c != e.copies.end(); ++c) {
+      whole = false;
+      for (flash::Ppn ppn : c->second) {
+        if (LoadSnapshotPage(ppn, it->first, c->first, &entries)) {
+          whole = true;
+          break;
+        }
+      }
+    }
+    if (!whole) {
+      stats_.recovery_root_fallbacks++;
+      continue;
+    }
+    recovery_entries_ = std::move(entries);
+    complete_snapshot_id_ = it->first;
+    xl2p_pages_scanned_ = e.total_pages;  // the table actually loaded
+    break;
+  }
+  // The next snapshot id must be newer than ANY id on flash — including
+  // torn epochs skipped above, whose ids the OOB still shows. Reusing one
+  // would let its leftover pages masquerade as part of the next snapshot.
+  if (!epochs.empty()) snapshot_id_ = epochs.rbegin()->first;
+}
+
+bool XFtl::LoadSnapshotPage(flash::Ppn ppn, uint64_t snap_id, uint64_t index,
+                            std::vector<Slot>* entries) {
   const uint32_t page_size = this->page_size();
-  if (DecodeFixed32(data.data()) != kXl2pMagic) return;
-  uint32_t crc = DecodeFixed32(data.data() + page_size - 4);
-  if (crc != Crc32c(data.data(), page_size - 4)) return;  // torn snapshot page
-
-  uint64_t snap_id = DecodeFixed64(data.data() + 4);
-  uint32_t page_index = DecodeFixed32(data.data() + 12);
-  uint32_t total_pages = DecodeFixed32(data.data() + 16);
-  uint32_t count = DecodeFixed32(data.data() + 20);
-
-  SnapshotPages& snap = recovery_snaps_[snap_id];
-  snap.total_pages = total_pages;
-  std::vector<Slot> entries;
-  entries.reserve(count);
+  std::vector<uint8_t> data(page_size);
+  if (!ReadPhysPage(ppn, data.data()).ok()) return false;  // torn
+  const uint32_t count = DecodeFixed32(data.data() + 20);
+  if (DecodeFixed32(data.data()) != kXl2pMagic ||
+      DecodeFixed32(data.data() + page_size - 4) !=
+          Crc32c(data.data(), page_size - 4) ||
+      DecodeFixed64(data.data() + 4) != snap_id ||
+      DecodeFixed32(data.data() + 12) != index ||
+      kSnapHeaderSize + size_t(count) * kEntrySize + 4 > page_size) {
+    return false;
+  }
   size_t off = kSnapHeaderSize;
   for (uint32_t i = 0; i < count; ++i, off += kEntrySize) {
     Slot s;
@@ -707,9 +755,23 @@ void XFtl::OnMetaPageScanned(const flash::PageOob& oob,
     s.lpn = DecodeFixed32(data.data() + off + 4);
     s.new_ppn = DecodeFixed32(data.data() + off + 8);
     s.status = SlotStatus(data[off + 12]);
-    entries.push_back(s);
+    entries->push_back(s);
   }
-  snap.pages[page_index] = std::move(entries);
+  return true;
+}
+
+void XFtl::NameRecoveryPages(std::vector<flash::Ppn>* ppns) const {
+  // FinishRecovery consults the page of every committed or prepared entry
+  // and the current copy of its lpn: the checkpointed one, unless roll-
+  // forward replaced it with a page it sensed anyway.
+  for (const Slot& e : recovery_entries_) {
+    if (e.status != SlotStatus::kCommitted &&
+        e.status != SlotStatus::kPrepared) {
+      continue;
+    }
+    ppns->push_back(e.new_ppn);
+    ppns->push_back(MappingOf(e.lpn));
+  }
 }
 
 Status XFtl::FinishRecovery() {
@@ -734,30 +796,9 @@ Status XFtl::FinishRecovery() {
   by_old_ppn_.clear();
   xl2p_dirty_ = false;
 
-  // Latest complete snapshot wins. A crash mid-snapshot leaves a newer
-  // incomplete epoch in the ring; it is skipped (and counted) rather than
-  // failing recovery.
-  std::vector<Slot> entries;
-  for (auto it = recovery_snaps_.rbegin(); it != recovery_snaps_.rend(); ++it) {
-    const SnapshotPages& snap = it->second;
-    if (snap.pages.size() != snap.total_pages) {  // torn snapshot
-      stats_.recovery_root_fallbacks++;
-      continue;
-    }
-    for (const auto& [pg, list] : snap.pages) {
-      entries.insert(entries.end(), list.begin(), list.end());
-    }
-    xl2p_pages_scanned_ = snap.total_pages;  // the table actually loaded
-    break;
-  }
-  // The next snapshot id must be newer than ANY id on flash — including
-  // torn epochs that were skipped above. Reusing a torn epoch's id would
-  // let its leftover pages masquerade as part of the next snapshot.
-  if (!recovery_snaps_.empty()) {
-    snapshot_id_ = recovery_snaps_.rbegin()->first;
-  }
-  recovery_snaps_.clear();
-
+  // The newest whole snapshot, as the meta scan loaded it.
+  const std::vector<Slot> entries = std::move(recovery_entries_);
+  recovery_entries_.clear();
   for (const Slot& e : entries) {
     if (e.status == SlotStatus::kCommitRecord) {
       // Coordinator-side commit record: no page of its own. Retained until

@@ -188,6 +188,10 @@ class XFtl : public PageFtl {
   const XftlStats& xstats() const { return xstats_; }
   bool plp_commit() const { return commit_mode() == CommitMode::kPlp; }
   void ResetXstats() { xstats_ = XftlStats{}; }
+  // Id of the newest X-L2P snapshot known whole on flash: the one recovery
+  // loaded, or a newer one written since (0 = none). xftl_fsck checks it
+  // against its own derivation.
+  uint64_t complete_snapshot_id() const { return complete_snapshot_id_; }
   // Number of table slots in use (active + retained committed).
   size_t Xl2pOccupancy() const;
   // Number of distinct transactions with ACTIVE entries.
@@ -195,9 +199,13 @@ class XFtl : public PageFtl {
 
  protected:
   Status FlushSubclassMeta() override;
+  Status RewriteSubclassMeta() override {
+    xl2p_dirty_ = true;
+    return FlushSubclassMeta();
+  }
   void OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to) override;
-  void OnMetaPageScanned(const flash::PageOob& oob,
-                         const std::vector<uint8_t>& data) override;
+  void OnMetaPagesScanned(const std::vector<MetaPageRef>& pages) override;
+  void NameRecoveryPages(std::vector<flash::Ppn>* ppns) const override;
   Status FinishRecovery() override;
 
  private:
@@ -251,8 +259,13 @@ class XFtl : public PageFtl {
   // new mappings into the L2P under a fresh commit epoch, retaining each
   // displaced pre-image when a snapshot pin is open.
   void FoldEntries(const std::vector<int>& entries);
-  // Serializes occupied slots into meta pages (tag kTagXl2p).
+  // Serializes occupied slots into meta pages (tag kTagXl2p); each page's
+  // OOB carries its snapshot id (link_seq) and page count (link_lpn).
   Status WriteXl2pSnapshot();
+  // Reads snapshot page `ppn` and appends its entries to `entries` if it is
+  // CRC-valid page `index` of snapshot `snap_id`.
+  bool LoadSnapshotPage(flash::Ppn ppn, uint64_t snap_id, uint64_t index,
+                        std::vector<Slot>* entries);
   // The ordering point at the head of a commit/prepare: kDrain waits for the
   // program buffer, kBarrier opens a new epoch (the transaction's data pages
   // stay in the old one, the snapshot goes into the new one), kPlp needs
@@ -294,14 +307,11 @@ class XFtl : public PageFtl {
   std::unordered_map<flash::Ppn, int> by_old_ppn_;
   bool xl2p_dirty_ = false;
   uint64_t snapshot_id_ = 0;
+  uint64_t complete_snapshot_id_ = 0;
   uint64_t xl2p_pages_scanned_ = 0;  // recovery-time accounting
 
-  // Recovery scratch: snapshot_id -> (page_index -> raw entries).
-  struct SnapshotPages {
-    uint32_t total_pages = 0;
-    std::map<uint32_t, std::vector<Slot>> pages;
-  };
-  std::map<uint64_t, SnapshotPages> recovery_snaps_;
+  // Recovery scratch: the entries of the snapshot recovery loaded.
+  std::vector<Slot> recovery_entries_;
 };
 
 }  // namespace xftl::ftl

@@ -28,10 +28,19 @@
 // Every PowerCycle() additionally runs the offline invariant checker
 // (xftl_fsck) against the recovered state, so each crash point is also an
 // fsck test case.
+//
+// Double-crash rows (`_dc`) keep committing after the first recovery until a
+// second seeded CrashPlan fires, power-cycle again and re-check everything
+// over both lives. They reach the state a checkpoint-bounded boot adds: a
+// second cut before any new root, so the third boot scans from the first
+// boot's checkpoint over blocks that boot resumed and the second life filled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -97,9 +106,67 @@ struct SweepParam {
   // armed failure latches the flash dead, so the capacitor's emergency
   // checkpoint — the only durability kPlp commits have — can never run.
   bool clean_cut = false;
+  // After the first recovery, arm a second seeded CrashPlan (drawn from
+  // `seed`), keep committing until it fires and recover again. Under kPlp
+  // the second life's commits are not durable at that cut (see clean_cut);
+  // everything the first recovery kept still must be.
+  bool double_crash = false;
 };
 
-void RunCrashPoint(const SweepParam& param) {
+// What one sweep row observed.
+struct CrashOutcome {
+  bool crashed = true;  // false: the failure point lies beyond the workload
+  // Double-crash rows: no new root reached flash before the second cut,
+  // and the second life wrote into blocks the first recovery resumed.
+  bool before_new_root = false;
+};
+
+// Commits transactions first, first+1, ..., last until one fails. Each
+// inserts three related rows: ids 3t-2..3t, a = id * 7, b = "v<id>".
+// Returns the last acknowledged transaction (first - 1 if none).
+int64_t CommitUntilFailure(Database* db, int64_t first, int64_t last) {
+  int64_t acked = first - 1;
+  for (int64_t txn = first; txn <= last; ++txn) {
+    std::string sql = "BEGIN;";
+    for (int64_t r = 3 * txn - 2; r <= 3 * txn; ++r) {
+      sql += " INSERT INTO t VALUES (" + std::to_string(r) + ", " +
+             std::to_string(r * 7) + ", 'v" + std::to_string(r) + "');";
+    }
+    sql += " COMMIT;";
+    if (!db->Exec(sql).ok()) break;
+    acked = txn;
+  }
+  return acked;
+}
+
+// Integrity, per-transaction atomicity and prefix ordering of table t, plus
+// every B-tree and the file system. Sets `survived` to the number of
+// transactions found.
+void CheckDatabase(Database* db, fs::ExtFs* fs, int64_t* survived) {
+  auto rows = db->Exec("SELECT id, a, b FROM t ORDER BY id");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::set<int64_t> ids;
+  for (const Row& row : rows->rows) {
+    int64_t id = row[0].AsInt();
+    EXPECT_EQ(row[1].AsInt(), id * 7) << "integrity violated for id " << id;
+    EXPECT_EQ(row[2].AsText(), "v" + std::to_string(id));
+    ids.insert(id);
+  }
+  ASSERT_EQ(ids.size() % 3, 0u) << "a transaction was torn";
+  *survived = int64_t(ids.size()) / 3;
+  for (int64_t txn = 1; txn <= *survived; ++txn) {
+    for (int64_t r = 3 * txn - 2; r <= 3 * txn; ++r) {
+      EXPECT_TRUE(ids.count(r)) << "non-prefix survival at txn " << txn;
+    }
+  }
+  auto tree_report = CheckAllTrees(db->pager());
+  ASSERT_TRUE(tree_report.ok()) << tree_report.status().ToString();
+  EXPECT_EQ(tree_report->cells % 1, 0u);  // report populated
+  auto fsck = fs->Fsck();
+  ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
+}
+
+void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
   SimClock clock;
   storage::SsdSpec spec = SweepSpec(param.transactional);
   if (param.link_faults) {
@@ -160,55 +227,58 @@ void RunCrashPoint(const SweepParam& param) {
     EXPECT_EQ(via_snap, pinned_page0);
   }
 
-  int64_t acked = 0;
   // Long enough that every armed point fires even in the leanest mode
   // (kOff + fdatasync writes the fewest pages per transaction). A clean cut
   // reuses crash_after_programs as the transaction count instead.
   const int64_t kMaxTxns =
       param.clean_cut ? int64_t(param.crash_after_programs) : 400;
-  bool crashed = false;
-  for (int64_t txn = 1; txn <= kMaxTxns && !crashed; ++txn) {
-    // Three related rows per transaction: ids 3t-2..3t, a = id * 7,
-    // b = "v<id>".
-    std::string sql = "BEGIN;";
-    for (int64_t r = 3 * txn - 2; r <= 3 * txn; ++r) {
-      sql += " INSERT INTO t VALUES (" + std::to_string(r) + ", " +
-             std::to_string(r * 7) + ", 'v" + std::to_string(r) + "');";
-    }
-    sql += " COMMIT;";
-    auto result = db->Exec(sql);
-    if (result.ok()) {
-      acked = txn;
-    } else {
-      crashed = true;
-    }
-  }
-  if (param.clean_cut) {
-    crashed = true;  // the plug-pull below IS the failure
-  } else if (!crashed) {
-    GTEST_SKIP() << "failure point beyond this workload";
+  const int64_t acked = CommitUntilFailure(db.get(), 1, kMaxTxns);
+  if (!param.clean_cut && acked == kMaxTxns) {
+    out->crashed = false;  // failure point beyond this workload
+    return;
   }
 
-  // Power-cycle and recover the entire stack (drops the volatile program
-  // buffer per the armed plan, recovers, then fsck-checks the result).
-  db->Abandon();
-  db.reset();
-  fs.reset();
-  const size_t inflight_at_cut = ssd.device()->InflightCommands();
-  const storage::SataStats sata_before = ssd.device()->stats();
-  Status cycled = ssd.PowerCycle();
-  ASSERT_TRUE(cycled.ok()) << cycled.ToString();
-  // Drop accounting: the cut discards exactly the unacknowledged suffix —
-  // every NCQ tag in flight at power-off, no more, no less.
-  const storage::SataStats& sata_after = ssd.device()->stats();
-  EXPECT_EQ(sata_after.dropped_on_power_cut - sata_before.dropped_on_power_cut,
-            inflight_at_cut);
-  EXPECT_GE(sata_after.dropped_pages_on_power_cut -
-                sata_before.dropped_pages_on_power_cut,
-            inflight_at_cut);
-  EXPECT_EQ(ssd.device()->InflightCommands(), 0u);
-  fs = std::move(fs::ExtFs::Mount(ssd.device(), fs_opt, &clock)).value();
-  db = std::move(Database::Open(fs.get(), "sweep.db", db_opt)).value();
+  // Power-cycles and recovers the entire stack (the cut drops the volatile
+  // program buffer per the armed plan; the reboot recovers, then fsck-checks
+  // the result), runs `at_cut` on the powered-off flash, notes the root the
+  // drive booted from and each block's write pointer, and reopens.
+  const flash::FlashDevice& dev = *ssd.flash();
+  const flash::FlashConfig& fc = dev.config();
+  auto* pftl = dynamic_cast<ftl::PageFtl*>(ssd.ftl());
+  ASSERT_NE(pftl, nullptr);
+  uint64_t booted_root = 0;
+  std::vector<uint32_t> booted_wp(fc.num_blocks);
+  std::vector<uint64_t> booted_erases(fc.num_blocks);
+  auto power_cycle = [&](const std::function<void()>& at_cut) {
+    db->Abandon();
+    db.reset();
+    fs.reset();
+    const size_t inflight_at_cut = ssd.device()->InflightCommands();
+    const storage::SataStats sata_before = ssd.device()->stats();
+    ssd.CutPower();
+    at_cut();
+    Status cycled = ssd.Reboot();
+    ASSERT_TRUE(cycled.ok()) << cycled.ToString();
+    booted_root = pftl->last_root_seq();
+    for (flash::BlockNum b = 0; b < fc.num_blocks; ++b) {
+      booted_wp[b] = dev.NextProgramPage(b);
+      booted_erases[b] = dev.EraseCount(b);
+    }
+    // Drop accounting: the cut discards exactly the unacknowledged suffix —
+    // every NCQ tag in flight at power-off, no more, no less.
+    const storage::SataStats& sata_after = ssd.device()->stats();
+    EXPECT_EQ(
+        sata_after.dropped_on_power_cut - sata_before.dropped_on_power_cut,
+        inflight_at_cut);
+    EXPECT_GE(sata_after.dropped_pages_on_power_cut -
+                  sata_before.dropped_pages_on_power_cut,
+              inflight_at_cut);
+    EXPECT_EQ(ssd.device()->InflightCommands(), 0u);
+    fs = std::move(fs::ExtFs::Mount(ssd.device(), fs_opt, &clock)).value();
+    db = std::move(Database::Open(fs.get(), "sweep.db", db_opt)).value();
+  };
+  power_cycle([] {});
+  if (::testing::Test::HasFatalFailure()) return;
 
   if (param.pinned_reader) {
     // Pins are volatile: recovery discards them (count drops to zero), the
@@ -236,44 +306,67 @@ void RunCrashPoint(const SweepParam& param) {
     EXPECT_TRUE(ssd.device()->SnapUnpin(repin.value()).ok());
   }
 
-  auto rows = db->Exec("SELECT id, a, b FROM t ORDER BY id");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-
-  // Integrity + per-transaction atomicity + prefix ordering.
-  std::set<int64_t> ids;
-  for (const Row& row : rows->rows) {
-    int64_t id = row[0].AsInt();
-    EXPECT_EQ(row[1].AsInt(), id * 7) << "integrity violated for id " << id;
-    EXPECT_EQ(row[2].AsText(), "v" + std::to_string(id));
-    ids.insert(id);
-  }
-  ASSERT_EQ(ids.size() % 3, 0u) << "a transaction was torn";
-  int64_t survived_txns = int64_t(ids.size()) / 3;
-  for (int64_t txn = 1; txn <= survived_txns; ++txn) {
-    for (int64_t r = 3 * txn - 2; r <= 3 * txn; ++r) {
-      EXPECT_TRUE(ids.count(r)) << "non-prefix survival at txn " << txn;
-    }
-  }
-
+  int64_t survived = 0;
+  CheckDatabase(db.get(), fs.get(), &survived);
+  if (::testing::Test::HasFatalFailure()) return;
   // Durability: everything acknowledged must survive, modulo the
   // rollback-journal mode's last-transaction window. Barrier commits trade
   // exactly this bound away — the cut may drop an acknowledged suffix of
   // epochs wholesale — while atomicity, prefix ordering and integrity above
   // still held unconditionally.
+  const int64_t tolerance = param.mode == SqlJournalMode::kDelete ? 1 : 0;
   if (param.commit_mode != ftl::CommitMode::kBarrier) {
-    int64_t tolerance = param.mode == SqlJournalMode::kDelete ? 1 : 0;
-    EXPECT_GE(survived_txns, acked - tolerance)
+    EXPECT_GE(survived, acked - tolerance)
         << "acknowledged transactions lost (acked " << acked << ")";
   }
-  EXPECT_LE(survived_txns, acked + 1)
-      << "unacknowledged transaction surfaced";
+  EXPECT_LE(survived, acked + 1) << "unacknowledged transaction surfaced";
 
-  // Structural integrity: every B-tree and the file system itself.
-  auto tree_report = CheckAllTrees(db->pager());
-  ASSERT_TRUE(tree_report.ok()) << tree_report.status().ToString();
-  EXPECT_EQ(tree_report->cells % 1, 0u);  // report populated
-  auto fsck = fs->Fsck();
-  ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
+  if (param.double_crash) {
+    // Second life: ids continue after the survivors; a second seeded plan
+    // cuts power again, usually within the first few commits.
+    const uint64_t armed_root = pftl->last_root_seq();
+    // Half the rows cut within the first commit's first programs: with a
+    // flush per commit (drain, kPlp; rollback journal or WAL) that is the
+    // only window before the second life writes a new root.
+    Rng rng(param.seed ^ 0xdc2dc2dc2dc2dc2dull);
+    flash::CrashPlan plan;
+    plan.crash_after_programs =
+        1 + (rng.Uniform(2) == 0 ? rng.Uniform(3) : rng.Uniform(120));
+    plan.seed = rng.Next();
+    plan.persist_prob = param.persist_prob;
+    ssd.flash()->ArmCrashPlan(plan);
+    const int64_t acked2 =
+        CommitUntilFailure(db.get(), survived + 1, survived + 400);
+    ASSERT_LT(acked2, survived + 400) << "second failure point never hit";
+
+    // Only an open block the first boot resumed can gain pages without
+    // being erased first; mount and open count as the second life too.
+    bool wrote_resumed = false;
+    power_cycle([&] {
+      for (flash::BlockNum b = 0; b < fc.num_blocks; ++b) {
+        wrote_resumed |= booted_wp[b] > 0 &&
+                         booted_wp[b] < fc.pages_per_block &&
+                         dev.EraseCount(b) == booted_erases[b] &&
+                         dev.NextProgramPage(b) > booted_wp[b];
+      }
+    });
+    if (::testing::Test::HasFatalFailure()) return;
+    out->before_new_root = wrote_resumed && booted_root == armed_root;
+
+    const int64_t survived_first = survived;
+    CheckDatabase(db.get(), fs.get(), &survived);
+    if (::testing::Test::HasFatalFailure()) return;
+    // What the first recovery found was durable on flash already; the
+    // second life's acknowledged commits obey the same bounds as the
+    // first's, except that kPlp's are not durable at an armed cut.
+    EXPECT_GE(survived, survived_first)
+        << "a transaction the first recovery kept was lost";
+    if (param.commit_mode == ftl::CommitMode::kDrain) {
+      EXPECT_GE(survived, acked2 - tolerance)
+          << "acknowledged transactions lost (acked " << acked2 << ")";
+    }
+    EXPECT_LE(survived, acked2 + 1) << "unacknowledged transaction surfaced";
+  }
 
   // And the database keeps working — except that under composed NAND
   // failures the media may legitimately have degraded to read-only, in which
@@ -289,7 +382,11 @@ void RunCrashPoint(const SweepParam& param) {
 
 class CrashSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
-TEST_P(CrashSweepTest, AcidInvariantsHold) { RunCrashPoint(GetParam()); }
+TEST_P(CrashSweepTest, AcidInvariantsHold) {
+  CrashOutcome out;
+  RunCrashPoint(GetParam(), &out);
+  if (!out.crashed) GTEST_SKIP() << "failure point beyond this workload";
+}
 
 std::vector<SweepParam> SweepPoints() {
   std::vector<SweepParam> points;
@@ -467,22 +564,96 @@ std::vector<SweepParam> RandomizedPoints() {
 
 class RandomCrashSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
-TEST_P(RandomCrashSweepTest, AcidInvariantsHold) { RunCrashPoint(GetParam()); }
+TEST_P(RandomCrashSweepTest, AcidInvariantsHold) {
+  CrashOutcome out;
+  RunCrashPoint(GetParam(), &out);
+  if (!out.crashed) GTEST_SKIP() << "failure point beyond this workload";
+}
+
+std::string SeededName(const SweepParam& p, bool with_seed = true) {
+  std::string name = p.transactional ? "xftl" : "pageftl";
+  name += "_" + std::string(SqlJournalModeName(p.mode));
+  if (with_seed) {
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(p.seed));
+    name += "_s";
+    name += hex;
+  }
+  if (p.link_faults) name += "_lf";
+  if (p.commit_mode == ftl::CommitMode::kBarrier) name += "_bar";
+  if (p.commit_mode == ftl::CommitMode::kPlp) name += "_plp";
+  if (p.double_crash) name += "_dc";
+  return name;
+}
 
 INSTANTIATE_TEST_SUITE_P(
     Seeded, RandomCrashSweepTest, ::testing::ValuesIn(RandomizedPoints()),
-    [](const auto& info) {
-      std::string name = info.param.transactional ? "xftl" : "pageftl";
-      name += "_" + std::string(SqlJournalModeName(info.param.mode));
-      char hex[24];
-      std::snprintf(hex, sizeof(hex), "%016llx",
-                    static_cast<unsigned long long>(info.param.seed));
-      name += "_s";
-      name += hex;
-      if (info.param.link_faults) name += "_lf";
-      if (info.param.commit_mode == ftl::CommitMode::kBarrier) name += "_bar";
-      return name;
-    });
+    [](const auto& info) { return SeededName(info.param); });
+
+// ---------------------------------------------------------------------------
+// Double crash: every journal mode x FTL profile x commit discipline (drain,
+// barrier, kPlp with a clean first cut), a tenth of XFTL_SWEEP_SEEDS seeds
+// per configuration.
+// ---------------------------------------------------------------------------
+
+std::vector<SweepParam> DoubleCrashPoints() {
+  const int per_config = std::max(1, SweepSeedsPerConfig() / 10);
+  std::vector<SweepParam> points;
+  for (bool transactional : {true, false}) {
+    for (SqlJournalMode mode : {SqlJournalMode::kDelete, SqlJournalMode::kWal,
+                                SqlJournalMode::kOff}) {
+      if (!transactional && mode == SqlJournalMode::kOff) continue;
+      for (ftl::CommitMode cm : {ftl::CommitMode::kDrain,
+                                 ftl::CommitMode::kBarrier,
+                                 ftl::CommitMode::kPlp}) {
+        for (int i = 0; i < per_config; ++i) {
+          uint64_t seed = (uint64_t(transactional) << 62) ^
+                          (uint64_t(mode) << 56) ^ (uint64_t(cm) << 50) ^
+                          ((uint64_t(i) + 1) * 0xd1b54a32d192ed03ull);
+          Rng rng(seed);
+          SweepParam p;
+          p.mode = mode;
+          p.transactional = transactional;
+          p.commit_mode = cm;
+          p.seed = seed;
+          p.double_crash = true;
+          // kPlp's first cut is a clean plug-pull after that many commits.
+          p.clean_cut = cm == ftl::CommitMode::kPlp;
+          p.crash_after_programs =
+              p.clean_cut ? 5 + rng.Uniform(60) : 20 + rng.Uniform(900);
+          p.persist_prob = 0.25 + 0.25 * double(rng.Uniform(3));
+          points.push_back(p);
+        }
+      }
+    }
+  }
+  return points;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DoubleCrash, RandomCrashSweepTest,
+    ::testing::ValuesIn(DoubleCrashPoints()),
+    [](const auto& info) { return SeededName(info.param); });
+
+// The second cut must land before any new root in every configuration: the
+// state where the third boot loads the root the second life started from
+// and must scan the blocks the first boot resumed, which the second life
+// wrote into. Re-runs every double-crash row and counts.
+TEST(DoubleCrashCoverageTest, SecondCutLandsBeforeANewRootInEveryConfig) {
+  std::map<std::string, int> landed;
+  for (const SweepParam& p : DoubleCrashPoints()) {
+    const std::string name = SeededName(p, /*with_seed=*/false);
+    CrashOutcome out;
+    RunCrashPoint(p, &out);
+    ASSERT_FALSE(HasFailure()) << SeededName(p);
+    landed[name] += out.before_new_root ? 1 : 0;
+  }
+  for (const auto& [config, n] : landed) {
+    std::printf("%-40s %d rows cut before a new root\n", config.c_str(), n);
+    EXPECT_GT(n, 0) << config;
+  }
+}
 
 }  // namespace
 }  // namespace xftl::sql

@@ -4,6 +4,7 @@
 // COMMITTED entry points at an erased page — must be rejected.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -212,6 +213,7 @@ TEST(FsckTest, ImageRoundTripPreservesEveryPage) {
     EXPECT_EQ(a->lpn, b->lpn);
     EXPECT_EQ(a->seq, b->seq);
     EXPECT_EQ(a->tag, b->tag);
+    EXPECT_EQ(a->block_seq, b->block_seq);
     const uint8_t* pa = dev.PeekPageData(ppn);
     const uint8_t* pb = img.dev->PeekPageData(ppn);
     ASSERT_TRUE(pa != nullptr && pb != nullptr) << "ppn " << ppn;
@@ -223,6 +225,70 @@ TEST(FsckTest, ImageRoundTripPreservesEveryPage) {
   check::FsckReport copy = check::CheckImage(*img.dev, XftlOptions());
   EXPECT_EQ(orig.ok(), copy.ok());
   EXPECT_EQ(orig.errors.size(), copy.errors.size());
+
+  // Images older than v3 carry no block stamps (and roots without an
+  // active list): the loader refuses them.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const uint8_t v2[4] = {2, 0, 0, 0};
+  ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(v2, 1, 4, f), 4u);
+  ASSERT_EQ(std::fclose(f), 0);
+  SimClock clock3;
+  auto old_or = check::LoadImage(path, &clock3);
+  ASSERT_FALSE(old_or.ok());
+  EXPECT_NE(old_or.status().ToString().find("unsupported image version"),
+            std::string::npos)
+      << old_or.status().ToString();
+}
+
+// Invariant 5: the boot dates a whole block by its page 0, so a page whose
+// block stamp differs from its page 0's is an inconsistency. A v3 image
+// round-trips the stamps; flipping one is caught.
+TEST(FsckTest, FlippedBlockStampBreaksInvariantFive) {
+  SimClock clock;
+  flash::FlashDevice dev(TinyFlash(), &clock);
+  ftl::XFtl ftl(&dev, TinyFtl(), ftl::XftlConfig{.xl2p_capacity = 24});
+  RunUntilCrash(ftl, dev, 9);
+  check::ImageParams params;
+  params.meta_blocks = TinyFtl().meta_blocks;
+  params.num_logical_pages = TinyFtl().num_logical_pages;
+  params.transactional = true;
+  const std::string path = ::testing::TempDir() + "fsck_test_stamps.bin";
+  ASSERT_TRUE(check::SaveImage(dev, params, path).ok());
+  SimClock clock2;
+  auto img_or = check::LoadImage(path, &clock2);
+  ASSERT_TRUE(img_or.ok()) << img_or.status().ToString();
+  flash::FlashDevice& copy = *img_or.value().dev;
+  ASSERT_TRUE(check::CheckImage(copy, XftlOptions()).ok());
+
+  // Page 1 of the first good data block with two readable pages.
+  const flash::FlashConfig& fc = copy.config();
+  flash::Ppn victim = flash::kInvalidPpn;
+  for (flash::BlockNum b = TinyFtl().meta_blocks;
+       b < fc.num_blocks && victim == flash::kInvalidPpn; ++b) {
+    const flash::Ppn ppn = flash::Ppn(b) * fc.pages_per_block + 1;
+    if (!copy.IsBadBlock(b) &&
+        copy.PageStateOf(ppn) == flash::FlashDevice::PageState::kProgrammed) {
+      victim = ppn;
+    }
+  }
+  ASSERT_NE(victim, flash::kInvalidPpn);
+  flash::PageOob oob = *copy.PeekOob(victim);
+  ASSERT_NE(oob.block_seq, 0u);
+  oob.block_seq++;
+  const std::vector<uint8_t> data(copy.PeekPageData(victim),
+                                  copy.PeekPageData(victim) + fc.page_size);
+  copy.RestorePage(victim, flash::FlashDevice::PageState::kProgrammed,
+                   data.data(), oob);
+
+  check::FsckReport rep = check::CheckImage(copy, XftlOptions());
+  EXPECT_FALSE(rep.ok());
+  bool found = false;
+  for (const std::string& e : rep.errors) {
+    if (e.find("block stamp") != std::string::npos) found = true;
+  }
+  EXPECT_TRUE(found) << rep.Summary();
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // trim, garbage collection, mapping persistence, crash recovery and aging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.h"
@@ -631,51 +633,224 @@ TEST(GcVictimEquivalenceTest, BucketsRebuiltByRecovery) {
 
 // --- restart cost -----------------------------------------------------------
 
-// Recovery senses every programmed page's OOB exactly once, one bank-stripe
-// at a time, so a full aged device boots in about ceil(data pages / banks)
-// tR plus the meta scan (its OOB senses and the root/segment page reads).
-// Reading each OOB twice, or one at a time, misses the bound several-fold.
-TEST(RecoveryScanTest, SensesEachPageOnceAcrossBanks) {
-  flash::FlashConfig fcfg;
-  fcfg.page_size = 512;
-  fcfg.pages_per_block = 32;
-  fcfg.num_blocks = 128;
-  fcfg.num_banks = 4;
-  SimClock clock;
-  flash::FlashDevice dev(fcfg, &clock);
-  FtlConfig cfg;
-  cfg.meta_blocks = 4;
-  cfg.min_free_blocks = 3;
-  cfg.num_logical_pages = uint64_t(
-      Ager::UtilizationForValidity(0.7) *
-      double((fcfg.num_blocks - cfg.meta_blocks - cfg.min_free_blocks - 2) *
-             fcfg.pages_per_block));
-  PageFtl ftl(&dev, cfg);
-  ASSERT_TRUE(Ager::Age(&ftl, /*seed=*/11, /*overwrite_rounds=*/4).ok());
-  ASSERT_TRUE(ftl.Flush().ok());
-  dev.PowerCut();
-
-  uint64_t data_pages = 0, meta_pages = 0;
-  for (flash::BlockNum b = 0; b < fcfg.num_blocks; ++b) {
-    (b < cfg.meta_blocks ? meta_pages : data_pages) += dev.NextProgramPage(b);
+// A page-FTL device aged to 70% GC-victim validity, then flushed: the newest
+// root checkpoints every page on it.
+struct AgedDevice {
+  static flash::FlashConfig Geometry(uint32_t num_blocks) {
+    flash::FlashConfig fcfg;
+    fcfg.page_size = 512;
+    fcfg.pages_per_block = 32;
+    fcfg.num_blocks = num_blocks;
+    fcfg.num_banks = 4;
+    return fcfg;
   }
-  ASSERT_GT(data_pages, 100u * fcfg.pages_per_block);  // a full device
-  const flash::FlashStats before = dev.stats();
-  const SimNanos t0 = clock.Now();
-  ASSERT_TRUE(ftl.Recover().ok());
-  const SimNanos elapsed = clock.Now() - t0;
+  static FtlConfig Config(uint32_t num_blocks) {
+    FtlConfig cfg;
+    cfg.meta_blocks = 4;
+    cfg.min_free_blocks = 3;
+    cfg.num_logical_pages = uint64_t(
+        Ager::UtilizationForValidity(0.7) *
+        double((num_blocks - cfg.meta_blocks - cfg.min_free_blocks - 2) *
+               Geometry(num_blocks).pages_per_block));
+    return cfg;
+  }
 
-  EXPECT_EQ(dev.stats().oob_reads - before.oob_reads, data_pages + meta_pages);
-  const SimNanos tR = fcfg.timings.read_page;
-  const uint64_t banks = fcfg.num_banks;
-  const SimNanos meta_scan =
-      SimNanos((meta_pages + banks - 1) / banks) * tR +
-      SimNanos(dev.stats().page_reads - before.page_reads) *
-          (tR + fcfg.timings.bus_per_page);
-  const SimNanos data_scan = SimNanos((data_pages + banks - 1) / banks) * tR;
-  EXPECT_LE(elapsed, SimNanos(1.1 * double(data_scan)) + meta_scan)
-      << "data scan floor " << data_scan << " ns, meta scan " << meta_scan
-      << " ns";
+  explicit AgedDevice(uint32_t num_blocks)
+      : cfg(Config(num_blocks)),
+        dev(Geometry(num_blocks), &clock),
+        ftl(&dev, cfg) {
+    CHECK(Ager::Age(&ftl, /*seed=*/11, /*overwrite_rounds=*/4).ok());
+    CHECK(ftl.Flush().ok());
+  }
+
+  std::vector<flash::Ppn> Mappings() const {
+    std::vector<flash::Ppn> out;
+    for (Lpn lpn = 0; lpn < cfg.num_logical_pages; ++lpn) {
+      out.push_back(ftl.MappingOf(lpn));
+    }
+    return out;
+  }
+  // The boot's first batch per bank: every programmed meta page and page 0
+  // of every programmed data block.
+  std::vector<uint64_t> HeadsPerBank() const {
+    const flash::FlashConfig& fc = dev.config();
+    std::vector<uint64_t> heads(fc.num_banks, 0);
+    for (flash::BlockNum b = 0; b < fc.num_blocks; ++b) {
+      const uint32_t np = dev.NextProgramPage(b);
+      heads[fc.BankOf(b)] += b < cfg.meta_blocks ? np : std::min(np, 1u);
+    }
+    return heads;
+  }
+  uint64_t Heads() const {
+    std::vector<uint64_t> heads = HeadsPerBank();
+    return std::accumulate(heads.begin(), heads.end(), uint64_t{0});
+  }
+  uint64_t MetaPages() const {
+    uint64_t pages = 0;
+    for (flash::BlockNum b = 0; b < cfg.meta_blocks; ++b) {
+      pages += dev.NextProgramPage(b);
+    }
+    return pages;
+  }
+
+  FtlConfig cfg;
+  SimClock clock;
+  flash::FlashDevice dev;
+  PageFtl ftl;
+};
+
+// After a flush, the root vouches for every data page: the boot senses the
+// meta pages and page 0 of each programmed block, nothing else, and still
+// rebuilds the exact mapping. The open blocks resume instead of sealing.
+TEST(RecoveryScanTest, FlushedCutSensesMetaPagesAndPageZeroOfEachBlock) {
+  AgedDevice d(128);
+  const std::vector<flash::Ppn> before = d.Mappings();
+  d.dev.PowerCut();
+  const uint64_t blocks = d.Heads() - d.MetaPages();
+  ASSERT_GT(blocks, 100u);  // a full device
+  const uint64_t oob0 = d.dev.stats().oob_reads;
+  ASSERT_TRUE(d.ftl.Recover().ok());
+
+  EXPECT_EQ(d.dev.stats().oob_reads - oob0, d.Heads());
+  EXPECT_EQ(d.ftl.stats().recovery_pages_scanned, d.Heads());
+  EXPECT_EQ(d.ftl.stats().recovery_blocks_trusted, blocks);
+  EXPECT_GE(d.ftl.stats().recovery_blocks_resumed, 1u);
+  EXPECT_LE(d.ftl.stats().recovery_blocks_resumed, 4u);
+  EXPECT_EQ(d.Mappings(), before);
+}
+
+// Writes `n` pages, drains them so the cut keeps them, cuts power and
+// returns how many pages beyond page 0 the writes (GC copies included) added
+// to flash: all of a block reopened meanwhile, the tail of one already open.
+uint64_t WriteAndCut(AgedDevice* d, int n) {
+  const flash::FlashConfig& fc = d->dev.config();
+  std::vector<uint32_t> wp(fc.num_blocks);
+  std::vector<uint64_t> erases(fc.num_blocks);
+  for (flash::BlockNum b = 0; b < fc.num_blocks; ++b) {
+    wp[b] = d->dev.NextProgramPage(b);
+    erases[b] = d->dev.EraseCount(b);
+  }
+  Rng rng(3);
+  std::vector<uint8_t> buf(fc.page_size, 0x3c);
+  for (int i = 0; i < n; ++i) {
+    CHECK(d->ftl.Write(rng.Uniform(d->cfg.num_logical_pages), buf.data()).ok());
+  }
+  d->dev.SyncAll();
+  d->dev.PowerCut();
+  uint64_t tail = 0;
+  for (flash::BlockNum b = d->cfg.meta_blocks; b < fc.num_blocks; ++b) {
+    const uint32_t np = d->dev.NextProgramPage(b);
+    const uint32_t from =
+        d->dev.EraseCount(b) != erases[b] ? 1 : std::max(wp[b], 1u);
+    if (np > from) tail += np - from;
+  }
+  return tail;
+}
+
+// Pages written after the root cost exactly one sense each, on top of the
+// flushed boot's meta pages and page-0 senses; roll-forward still maps them.
+TEST(RecoveryScanTest, UnflushedWritesAddExactlyThePagesWrittenAfterTheRoot) {
+  AgedDevice d(128);
+  const uint64_t tail = WriteAndCut(&d, 40);
+  ASSERT_GT(tail, 0u);
+  const std::vector<flash::Ppn> before = d.Mappings();
+  const uint64_t oob0 = d.dev.stats().oob_reads;
+  ASSERT_TRUE(d.ftl.Recover().ok());
+  EXPECT_EQ(d.dev.stats().oob_reads - oob0, d.Heads() + tail);
+  EXPECT_EQ(d.Mappings(), before);
+}
+
+// The first boot resumes the open blocks; the second life fills them
+// without writing a root, and the next cut lands before any new checkpoint.
+// The third boot loads the first checkpoint again and must still find every
+// page the second life wrote into the blocks it resumed.
+TEST(RecoveryScanTest, ResumedBlocksSurviveASecondCutBeforeAnyNewRoot) {
+  AgedDevice d(128);
+  WriteAndCut(&d, 40);
+  ASSERT_TRUE(d.ftl.Recover().ok());
+  ASSERT_GE(d.ftl.stats().recovery_blocks_resumed, 1u);
+  const uint64_t root = d.ftl.last_root_seq();
+  ASSERT_GT(WriteAndCut(&d, 60), 0u);
+  const std::vector<flash::Ppn> before = d.Mappings();
+  ASSERT_TRUE(d.ftl.Recover().ok());
+  EXPECT_EQ(d.ftl.last_root_seq(), root);
+  EXPECT_EQ(d.Mappings(), before);
+}
+
+// A partial block the loaded root neither lists nor postdates (one an
+// earlier boot left sealed) must stay sealed: the next boot trusts such a
+// block whole, so pages written into it before a new root would be lost.
+TEST(RecoveryScanTest, PartialBlockTheRootCannotVouchForStaysSealed) {
+  AgedDevice d(128);
+  const flash::FlashConfig& fc = d.dev.config();
+  flash::BlockNum sealed = d.cfg.meta_blocks;
+  while (d.dev.NextProgramPage(sealed) != 0) sealed++;
+  std::vector<uint8_t> buf(fc.page_size, 0x11);
+  for (uint32_t p = 0; p < 3; ++p) {
+    flash::PageOob oob;
+    oob.lpn = p;
+    oob.seq = 1 + p;  // stale copies, older than any checkpoint
+    oob.tag = kTagData;
+    oob.block_seq = d.ftl.last_root_seq();  // opened before the root
+    d.dev.RestorePage(flash::Ppn(sealed) * fc.pages_per_block + p,
+                      flash::FlashDevice::PageState::kProgrammed, buf.data(),
+                      oob);
+  }
+  d.dev.PowerCut();
+  ASSERT_TRUE(d.ftl.Recover().ok());
+  EXPECT_EQ(d.ftl.stats().recovery_blocks_resumed, 4u);  // the open ones
+  // Sealed, it is greedy GC's next victim (nothing valid, lowest number);
+  // resumed, it would be an open block out of GC's reach.
+  auto victim = d.ftl.PeekVictim();
+  ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+  EXPECT_EQ(victim.value(), sealed);
+}
+
+// Both batches queue every sense at once, so the boot costs the busiest
+// bank's first batch, the tail, and the full-page reads (roots, segments,
+// roll-forward candidates). Sensing every page would miss this many times.
+TEST(RecoveryScanTest, BootTimeFitsTheBusiestBank) {
+  AgedDevice d(128);
+  const uint64_t tail = WriteAndCut(&d, 40);
+  const std::vector<uint64_t> heads = d.HeadsPerBank();
+  const flash::FlashStats before = d.dev.stats();
+  const SimNanos t0 = d.clock.Now();
+  ASSERT_TRUE(d.ftl.Recover().ok());
+  const SimNanos elapsed = d.clock.Now() - t0;
+  const flash::FlashTimings& t = d.dev.config().timings;
+  const SimNanos senses =
+      SimNanos(*std::max_element(heads.begin(), heads.end()) + tail) *
+      t.read_page;
+  const SimNanos reads = SimNanos(d.dev.stats().page_reads -
+                                  before.page_reads) *
+                         (t.read_page + t.bus_per_page);
+  EXPECT_LE(elapsed, SimNanos(1.1 * double(senses)) + reads)
+      << "busiest bank + tail " << senses << " ns, reads " << reads << " ns";
+}
+
+// Restart tracks the blocks, not the pages: doubling the device adds one
+// page-0 sense per added block, while the pages on flash nearly double.
+TEST(RecoveryScanTest, DoublingTheDeviceAddsOnePageZeroSensePerBlock) {
+  AgedDevice small(64);
+  AgedDevice large(128);
+  uint64_t data_senses[2], blocks[2], pages[2];
+  int i = 0;
+  for (AgedDevice* d : {&small, &large}) {
+    d->dev.PowerCut();
+    blocks[i] = d->Heads() - d->MetaPages();
+    pages[i] = 0;
+    for (flash::BlockNum b = d->cfg.meta_blocks; b < d->dev.config().num_blocks;
+         ++b) {
+      pages[i] += d->dev.NextProgramPage(b);
+    }
+    const uint64_t oob0 = d->dev.stats().oob_reads;
+    ASSERT_TRUE(d->ftl.Recover().ok());
+    data_senses[i] = d->dev.stats().oob_reads - oob0 - d->MetaPages();
+    i++;
+  }
+  ASSERT_GT(blocks[1], blocks[0]);
+  EXPECT_EQ(data_senses[1] - data_senses[0], blocks[1] - blocks[0]);
+  EXPECT_GT(pages[1] - pages[0], 20 * (blocks[1] - blocks[0]));
 }
 
 // --- aging ----------------------------------------------------------------

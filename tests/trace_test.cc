@@ -139,8 +139,10 @@ TEST(TracerTest, HistogramsAndCountsPerLayerOp) {
 }
 
 // A power cycle leaves one FTL kRecover event that explains the boot: the
-// pages the OOB scan sensed (a) and the OOB reads the recovery issued (b),
-// one per programmed page.
+// pages the OOB scan sensed (a) and the OOB reads the recovery issued (b).
+// After a drive flush that is every meta page plus page 0 of each data
+// block; kRecoverBlocks splits those blocks into trusted and scanned and
+// counts the resumed ones.
 TEST(TracerTest, RecoverEventCarriesScanSize) {
   std::string path = TempPath("recover.trace");
   SimClock clock;
@@ -153,27 +155,42 @@ TEST(TracerTest, RecoverEventCarriesScanSize) {
     ASSERT_TRUE(ssd.device()->Write(p % 200, buf.data()).ok());
   }
   ASSERT_TRUE(ssd.device()->FlushBarrier().ok());
-  uint64_t programmed = 0;
+  uint64_t meta_pages = 0, data_blocks = 0;
   const flash::FlashDevice& dev = *ssd.flash();
+  const uint32_t meta_blocks = storage::OpenSsdSpec(64).ftl.meta_blocks;
   for (flash::BlockNum b = 0; b < dev.config().num_blocks; ++b) {
-    programmed += dev.NextProgramPage(b);
+    if (b < meta_blocks) {
+      meta_pages += dev.NextProgramPage(b);
+    } else if (dev.NextProgramPage(b) > 0) {
+      data_blocks++;
+    }
   }
+  ASSERT_GT(data_blocks, 0u);
   ASSERT_TRUE(ssd.PowerCycle().ok());
   ASSERT_TRUE(writer->Close().ok());
 
   auto events = TraceReader::ReadAll(path).value();
-  int recovers = 0;
+  int recovers = 0, splits = 0;
   for (const TraceEvent& e : events) {
-    if (e.layer != Layer::kFtl || e.op != Op::kRecover) continue;
+    if (e.layer != Layer::kFtl) continue;
+    if (e.op == Op::kRecoverBlocks) {
+      splits++;
+      EXPECT_EQ(e.a, data_blocks);  // all trusted: the flush left no tail
+      EXPECT_EQ(e.b, 0u);
+      EXPECT_GE(e.tid, 1u);  // the open blocks resume
+      EXPECT_LE(e.tid, 4u);
+    }
+    if (e.op != Op::kRecover) continue;
     recovers++;
-    EXPECT_EQ(e.a, programmed);
-    EXPECT_EQ(e.b, programmed);
+    EXPECT_EQ(e.a, meta_pages + data_blocks);
+    EXPECT_EQ(e.b, meta_pages + data_blocks);
     EXPECT_GT(e.latency, 0u);
   }
   EXPECT_EQ(recovers, 1);
+  EXPECT_EQ(splits, 1);
   MetricsRegistry m;
   AbsorbFlashStats(&m, dev.stats());
-  EXPECT_EQ(m.Get("flash.oob_reads"), programmed);
+  EXPECT_EQ(m.Get("flash.oob_reads"), meta_pages + data_blocks);
 }
 
 TEST(MetricsRegistryTest, SetAddGetAndJson) {

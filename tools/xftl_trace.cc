@@ -158,9 +158,12 @@ int Summary(const std::string& path) {
   uint64_t degraded_nanos = 0;
   SimNanos last_time = 0;
   // FTL restarts: kFtl kRecover carries the pages the OOB scan sensed in
-  // `a` and every OOB read the recovery issued in `b`.
+  // `a` and every OOB read the recovery issued in `b`; kRecoverBlocks the
+  // data blocks trusted from the checkpoint (`a`), scanned as written after
+  // it (`b`) and resumed (`tid`).
   uint64_t recoveries = 0, recovery_nanos = 0;
   uint64_t recovery_pages_scanned = 0, recovery_oob_reads = 0;
+  uint64_t blocks_trusted = 0, blocks_scanned = 0, blocks_resumed = 0;
 
   for (const TraceEvent& e : events) {
     last_time = std::max(last_time, e.time);
@@ -229,6 +232,11 @@ int Summary(const std::string& path) {
       recovery_nanos += e.latency;
       recovery_pages_scanned += e.a;
       recovery_oob_reads += e.b;
+    }
+    if (e.layer == Layer::kFtl && e.op == Op::kRecoverBlocks) {
+      blocks_trusted += e.a;
+      blocks_scanned += e.b;
+      blocks_resumed += e.tid;
     }
     if (e.layer == Layer::kFlash && e.op == Op::kBarrier) {
       if (e.b == 0) {
@@ -401,8 +409,10 @@ int Summary(const std::string& path) {
   }
 
   // FTL restarts: how much flash the boot scan touched. A healthy scan
-  // senses each page's OOB once, so oob reads == pages scanned; more means
-  // some recovery step re-read flash.
+  // senses each page's OOB at most once, so oob reads == pages scanned
+  // (more means some recovery step re-read flash), and senses past page 0
+  // only in blocks written after the checkpoint: a slow boot shows up as
+  // many scanned blocks, i.e. a long log tail since the last checkpoint.
   if (recoveries > 0) {
     std::printf("\nftl restart (power-on recovery)\n");
     std::printf("  recoveries: %llu   total %.1f ms   pages scanned %llu   "
@@ -414,6 +424,11 @@ int Summary(const std::string& path) {
                     ? 0.0
                     : double(recovery_oob_reads) /
                           double(recovery_pages_scanned));
+    std::printf("  data blocks: %llu trusted from the checkpoint, %llu "
+                "scanned as written after it   resumed as open: %llu\n",
+                (unsigned long long)blocks_trusted,
+                (unsigned long long)blocks_scanned,
+                (unsigned long long)blocks_resumed);
   }
 
   // Error recovery: what the link-fault model injected and what the NCQ
