@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
       const flash::FlashDevice& dev = *h.ssd()->flash();
       const flash::FlashConfig& fc = dev.config();
       check::FsckOptions opt;
-      opt.ftl = dynamic_cast<ftl::PageFtl*>(h.ssd()->ftl())->ftl_config();
+      opt.ftl = h.ssd()->ftl()->ftl_config();
       opt.transactional = h.ssd()->xftl() != nullptr;
       const uint64_t tail =
           check::CheckImage(dev, opt).counters.post_root_pages;

@@ -12,7 +12,7 @@ double Ager::UtilizationForValidity(double validity) {
   return (validity - 1.0) / std::log(validity);
 }
 
-StatusOr<double> Ager::Age(FtlInterface* ftl, uint64_t seed,
+StatusOr<double> Ager::Age(PageFtl* ftl, uint64_t seed,
                            int overwrite_rounds) {
   Rng rng(seed);
   const uint64_t n = ftl->num_logical_pages();

@@ -16,7 +16,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "ftl/ftl_interface.h"
+#include "ftl/page_ftl.h"
 
 namespace xftl::ftl {
 
@@ -31,7 +31,7 @@ class Ager {
   // `overwrite_rounds` x num_logical_pages uniform random overwrites so
   // garbage collection reaches steady state. Returns the mean victim
   // validity measured over the final round.
-  static StatusOr<double> Age(FtlInterface* ftl, uint64_t seed = 42,
+  static StatusOr<double> Age(PageFtl* ftl, uint64_t seed = 42,
                               int overwrite_rounds = 3);
 };
 

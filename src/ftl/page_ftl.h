@@ -29,9 +29,31 @@
 #include "common/status.h"
 #include "flash/flash_device.h"
 #include "ftl/ecc.h"
-#include "ftl/ftl_interface.h"
+#include "ftl/ftl_stats.h"
 
 namespace xftl::ftl {
+
+// Logical page number as exposed to the host.
+using Lpn = uint64_t;
+
+// How a firmware implements its durability points (FLUSH / commit /
+// prepare). Drain is the classic completion-wait: the command returns only
+// once everything is in the cells. Barrier is order-preserving: the command
+// opens a new flash epoch and returns immediately — earlier writes are
+// guaranteed to reach the cells before any later write, but not to have
+// reached them when the command returns (epoch-prefix durability). Plp
+// models a power-loss-protected cache: the buffer drains on its own and an
+// emergency checkpoint covers a power cut.
+enum class CommitMode : uint8_t { kDrain, kBarrier, kPlp };
+
+inline const char* CommitModeName(CommitMode mode) {
+  switch (mode) {
+    case CommitMode::kDrain:   return "drain";
+    case CommitMode::kBarrier: return "barrier";
+    case CommitMode::kPlp:     return "plp";
+  }
+  return "?";
+}
 
 // OOB tag values identifying what a physical page holds.
 inline constexpr uint64_t kTagData = 1;
@@ -100,37 +122,50 @@ struct FtlConfig {
   uint32_t read_only_spare_blocks = 1;
 };
 
-class PageFtl : public FtlInterface {
+// The FTL as the storage interface (SATA) layer sees it: a logical page
+// space with read/write/trim, plus a flush barrier that makes both data and
+// the mapping table durable.
+class PageFtl {
  public:
   PageFtl(flash::FlashDevice* device, const FtlConfig& config);
-  ~PageFtl() override = default;
+  virtual ~PageFtl() = default;
 
   PageFtl(const PageFtl&) = delete;
   PageFtl& operator=(const PageFtl&) = delete;
 
-  uint32_t page_size() const override { return device_->config().page_size; }
-  uint32_t pages_per_block() const override {
+  uint32_t page_size() const { return device_->config().page_size; }
+  uint32_t pages_per_block() const {
     return device_->config().pages_per_block;
   }
-  uint64_t num_logical_pages() const override {
-    return config_.num_logical_pages;
-  }
+  uint64_t num_logical_pages() const { return config_.num_logical_pages; }
 
-  Status Read(Lpn lpn, uint8_t* data) override;
-  Status Write(Lpn lpn, const uint8_t* data) override;
-  Status WriteBatch(const Lpn* lpns, const uint8_t* const* datas, size_t n,
-                    size_t* accepted = nullptr) override;
-  Status Trim(Lpn lpn) override;
-  Status Flush() override;
-  Status Barrier() override;
-  CommitMode commit_mode() const override { return config_.commit_mode; }
-  Status Recover() override;
-  SimNanos LastCompletionTime() const override {
-    return device_->last_op_done();
-  }
+  // Reads the committed content of `lpn` (0xff-filled if never written).
+  Status Read(Lpn lpn, uint8_t* data);
+  // Copy-on-write update of `lpn`. Durable only after Flush(). The program
+  // is submit-only: the caller pays the channel transfer while the cell
+  // program overlaps on its bank, so consecutive writes stripe across banks.
+  Status Write(Lpn lpn, const uint8_t* data);
+  // Drops the mapping of `lpn`; the physical page becomes garbage.
+  Status Trim(Lpn lpn);
+  // Write barrier: waits for in-flight programs and persists the mapping
+  // table (dirty segments + root record).
+  Status Flush();
+  // Order-preserving barrier: all pages written before it are programmed
+  // before any page written after it, without waiting for completion.
+  // Outside CommitMode::kBarrier it falls back to a full Flush().
+  Status Barrier();
+  // The firmware's durability-point discipline (see CommitMode).
+  CommitMode commit_mode() const { return config_.commit_mode; }
+  // Rebuilds all volatile state from flash after a power failure.
+  Status Recover();
+  // Device-side completion time of the most recently issued flash command —
+  // the queued-command model's completion token. A caller that submitted a
+  // write may return to the host immediately and later AdvanceTo() this time
+  // (or past it) to model out-of-order command completion.
+  SimNanos LastCompletionTime() const { return device_->last_op_done(); }
 
-  const FtlStats& stats() const override { return stats_; }
-  void ResetStats() override { stats_ = FtlStats{}; }
+  const FtlStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = FtlStats{}; }
 
   flash::FlashDevice* device() const { return device_; }
   const FtlConfig& ftl_config() const { return config_; }
@@ -144,7 +179,10 @@ class PageFtl : public FtlInterface {
   flash::Ppn MappingOf(Lpn lpn) const;
 
   // --- NAND failure handling observability --------------------------------
-  bool read_only() const override { return read_only_; }
+  // True once the device degraded to read-only mode (spare blocks or the
+  // meta region exhausted by grown bad blocks). Writes, trims and barriers
+  // return ResourceExhausted; reads keep working.
+  bool read_only() const { return read_only_; }
   // Grown bad blocks currently known to the FTL (data + meta).
   size_t bad_block_count() const { return bad_blocks_.size(); }
   const std::vector<flash::BlockNum>& bad_blocks() const { return bad_blocks_; }

@@ -28,22 +28,11 @@ class BlockDevice {
   virtual Status Write(uint64_t page, const uint8_t* data) = 0;
   // Batched write: n pages handed to the device as one queued command.
   // Devices that understand queuing overlap the device-side work across
-  // banks; the default just loops. Stops at the first error; `accepted`
-  // (optional) reports how many leading pages the device durably accepted,
-  // so a caller can tell a clean failure from a torn batch and reissue only
-  // the rejected suffix.
+  // banks. Stops at the first error; `accepted` (optional) reports how many
+  // leading pages the device durably accepted, so a caller can tell a clean
+  // failure from a torn batch and reissue only the rejected suffix.
   virtual Status WriteBatch(const uint64_t* pages, const uint8_t* const* datas,
-                            size_t n, size_t* accepted = nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      Status s = Write(pages[i], datas[i]);
-      if (!s.ok()) {
-        if (accepted != nullptr) *accepted = i;
-        return s;
-      }
-    }
-    if (accepted != nullptr) *accepted = n;
-    return Status::OK();
-  }
+                            size_t n, size_t* accepted = nullptr) = 0;
   virtual Status Trim(uint64_t page) = 0;
   // Durability barrier: all previously acknowledged writes (and the device's
   // mapping metadata) are persistent when this returns.
@@ -67,17 +56,7 @@ class TxBlockDevice : public BlockDevice {
   // (including the `accepted` prefix count on failure).
   virtual Status TxWriteBatch(TxId t, const uint64_t* pages,
                               const uint8_t* const* datas, size_t n,
-                              size_t* accepted = nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      Status s = TxWrite(t, pages[i], datas[i]);
-      if (!s.ok()) {
-        if (accepted != nullptr) *accepted = i;
-        return s;
-      }
-    }
-    if (accepted != nullptr) *accepted = n;
-    return Status::OK();
-  }
+                              size_t* accepted = nullptr) = 0;
   // Commit/abort are carried over the wire as extended trim commands
   // (paper §5.2); semantically they are first-class verbs.
   virtual Status TxCommit(TxId t) = 0;

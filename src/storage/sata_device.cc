@@ -18,7 +18,7 @@ bool Fires(std::vector<uint64_t>* scripted, uint64_t op) {
 
 }  // namespace
 
-SataDevice::SataDevice(ftl::FtlInterface* ftl, const SataTimings& timings,
+SataDevice::SataDevice(ftl::PageFtl* ftl, const SataTimings& timings,
                        SimClock* clock, const LinkFaultModel& fault,
                        const LinkRecoveryPolicy& policy)
     : ftl_(ftl),
@@ -253,24 +253,54 @@ Status SataDevice::TakeDeferredError() {
 
 // --- submit path -----------------------------------------------------------
 
+Status SataDevice::SubmitWrite(trace::Op op, TxId t, const uint64_t* pages,
+                               const uint8_t* const* datas, size_t n,
+                               size_t* accepted, bool batch) {
+  if (accepted != nullptr) *accepted = 0;
+  if (n == 0) return Status::OK();
+  SimNanos t0 = clock_->Now();
+  XFTL_RETURN_IF_ERROR(CheckLink());
+  WaitForSlot();
+  // One wire command moves all n pages and occupies one queue slot, which
+  // drains when the slowest program finishes. write_commands counts host
+  // pages written (one per page even in a batch); batch_commands counts the
+  // batched wire commands that moved them.
+  stats_.write_commands += n;
+  if (batch) {
+    stats_.batch_commands++;
+    stats_.batched_pages += n;
+  }
+  size_t acc = 0;
+  Status s = SubmitPayload(t, pages, datas, n, &acc);
+  if (accepted != nullptr) *accepted = acc;
+  if (acc > 0) {
+    if (op == trace::Op::kTxWrite) open_txns_.insert(t);
+    EnqueueCompletion(t, pages, datas, acc);
+  }
+  // Per-page capture events keep trace replay page-accurate (the replayer
+  // re-drives each page as an individual write command). Pages the device
+  // durably accepted report kOk even when the command as a whole failed.
+  for (size_t i = 0; i < n; ++i) {
+    Note(op, t0, t, pages[i], i < acc ? StatusCode::kOk : s.code(),
+         inflight_.size());
+  }
+  return s;
+}
+
 Status SataDevice::ExecuteWrite(TxId t, const uint64_t* pages,
                                 const uint8_t* const* datas, size_t n,
                                 size_t* ftl_accepted) {
+  // Each program is submit-only, so this loop is what stripes a batch's
+  // cell programs across banks; the host pays one transfer per page.
   *ftl_accepted = 0;
-  if (t == ftl::kNoTx || xftl_ == nullptr) {
-    if (n == 1) {
-      Status s = ftl_->Write(pages[0], datas[0]);
-      if (s.ok()) *ftl_accepted = 1;
-      return s;
-    }
-    return ftl_->WriteBatch(pages, datas, n, ftl_accepted);
+  for (size_t i = 0; i < n; ++i) {
+    Status s = (t == ftl::kNoTx || xftl_ == nullptr)
+                   ? ftl_->Write(pages[i], datas[i])
+                   : xftl_->TxWrite(t, pages[i], datas[i]);
+    if (!s.ok()) return s;
+    *ftl_accepted = i + 1;
   }
-  if (n == 1) {
-    Status s = xftl_->TxWrite(t, pages[0], datas[0]);
-    if (s.ok()) *ftl_accepted = 1;
-    return s;
-  }
-  return xftl_->TxWriteBatch(t, pages, datas, n, ftl_accepted);
+  return Status::OK();
 }
 
 Status SataDevice::SubmitPayload(TxId t, const uint64_t* pages,
@@ -469,44 +499,15 @@ Status SataDevice::Read(uint64_t page, uint8_t* data) {
 }
 
 Status SataDevice::Write(uint64_t page, const uint8_t* data) {
-  SimNanos t0 = clock_->Now();
-  XFTL_RETURN_IF_ERROR(CheckLink());
-  WaitForSlot();
-  stats_.write_commands++;
-  Status s = SubmitPayload(ftl::kNoTx, &page, &data, 1, nullptr);
-  if (s.ok()) EnqueueCompletion(ftl::kNoTx, &page, &data, 1);
-  Note(trace::Op::kWrite, t0, ftl::kNoTx, page, s.code(), inflight_.size());
-  return s;
+  return SubmitWrite(trace::Op::kWrite, ftl::kNoTx, &page, &data, 1, nullptr,
+                     /*batch=*/false);
 }
 
 Status SataDevice::WriteBatch(const uint64_t* pages,
                               const uint8_t* const* datas, size_t n,
                               size_t* accepted) {
-  if (accepted != nullptr) *accepted = 0;
-  if (n == 0) return Status::OK();
-  SimNanos t0 = clock_->Now();
-  XFTL_RETURN_IF_ERROR(CheckLink());
-  WaitForSlot();
-  // One wire command moves the whole batch; the FTL stripes the programs
-  // across banks, so the batch occupies one queue slot that drains when the
-  // slowest program finishes. write_commands counts host pages written (one
-  // per page even in a batch); batch_commands counts the wire-level
-  // commands that moved them.
-  stats_.write_commands += n;
-  stats_.batch_commands++;
-  stats_.batched_pages += n;
-  size_t acc = 0;
-  Status s = SubmitPayload(ftl::kNoTx, pages, datas, n, &acc);
-  if (accepted != nullptr) *accepted = acc;
-  if (acc > 0) EnqueueCompletion(ftl::kNoTx, pages, datas, acc);
-  // Per-page capture events keep trace replay page-accurate (the replayer
-  // re-drives each page as an individual write command). Pages the device
-  // durably accepted report kOk even when the batch as a whole failed.
-  for (size_t i = 0; i < n; ++i) {
-    Note(trace::Op::kWrite, t0, ftl::kNoTx, pages[i],
-         i < acc ? StatusCode::kOk : s.code(), inflight_.size());
-  }
-  return s;
+  return SubmitWrite(trace::Op::kWrite, ftl::kNoTx, pages, datas, n, accepted,
+                     /*batch=*/true);
 }
 
 Status SataDevice::Trim(uint64_t page) {
@@ -576,43 +577,16 @@ Status SataDevice::TxRead(TxId t, uint64_t page, uint8_t* data) {
 
 Status SataDevice::TxWrite(TxId t, uint64_t page, const uint8_t* data) {
   if (xftl_ == nullptr) return Write(page, data);
-  SimNanos t0 = clock_->Now();
-  XFTL_RETURN_IF_ERROR(CheckLink());
-  WaitForSlot();
-  stats_.write_commands++;
-  Status s = SubmitPayload(t, &page, &data, 1, nullptr);
-  if (s.ok()) {
-    open_txns_.insert(t);
-    EnqueueCompletion(t, &page, &data, 1);
-  }
-  Note(trace::Op::kTxWrite, t0, t, page, s.code(), inflight_.size());
-  return s;
+  return SubmitWrite(trace::Op::kTxWrite, t, &page, &data, 1, nullptr,
+                     /*batch=*/false);
 }
 
 Status SataDevice::TxWriteBatch(TxId t, const uint64_t* pages,
                                 const uint8_t* const* datas, size_t n,
                                 size_t* accepted) {
   if (xftl_ == nullptr) return WriteBatch(pages, datas, n, accepted);
-  if (accepted != nullptr) *accepted = 0;
-  if (n == 0) return Status::OK();
-  SimNanos t0 = clock_->Now();
-  XFTL_RETURN_IF_ERROR(CheckLink());
-  WaitForSlot();
-  stats_.write_commands += n;
-  stats_.batch_commands++;
-  stats_.batched_pages += n;
-  size_t acc = 0;
-  Status s = SubmitPayload(t, pages, datas, n, &acc);
-  if (accepted != nullptr) *accepted = acc;
-  if (acc > 0) {
-    open_txns_.insert(t);
-    EnqueueCompletion(t, pages, datas, acc);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    Note(trace::Op::kTxWrite, t0, t, pages[i],
-         i < acc ? StatusCode::kOk : s.code(), inflight_.size());
-  }
-  return s;
+  return SubmitWrite(trace::Op::kTxWrite, t, pages, datas, n, accepted,
+                     /*batch=*/true);
 }
 
 Status SataDevice::TxCommit(TxId t) {

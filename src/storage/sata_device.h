@@ -196,7 +196,7 @@ class SataDevice : public TxBlockDevice {
   // `ftl` must outlive this device. If it is an XFtl, the transactional
   // command set is available; otherwise Tx* commands degrade (TxRead/TxWrite
   // act untagged, TxCommit acts as a barrier, TxAbort fails).
-  SataDevice(ftl::FtlInterface* ftl, const SataTimings& timings,
+  SataDevice(ftl::PageFtl* ftl, const SataTimings& timings,
              SimClock* clock, const LinkFaultModel& fault = {},
              const LinkRecoveryPolicy& policy = {});
 
@@ -284,7 +284,7 @@ class SataDevice : public TxBlockDevice {
 
   const SataStats& stats() const { return stats_; }
   void ResetStats() { stats_ = SataStats{}; }
-  ftl::FtlInterface* ftl() const { return ftl_; }
+  ftl::PageFtl* ftl() const { return ftl_; }
   ftl::CommitMode commit_mode() const { return ftl_->commit_mode(); }
   // Barrier epoch the next queued write will be tagged with (volatile host
   // state; a power cut or link reset restarts it).
@@ -358,13 +358,25 @@ class SataDevice : public TxBlockDevice {
   // queue, read the error log, retire tags the log reports complete, and
   // REDO-reissue the killed ones from host-held data.
   void RecoverQueue(uint64_t failed_tag);
+  // The one write command behind Write/WriteBatch/TxWrite/TxWriteBatch:
+  // `n` pages cross the wire as a single queued command. `op` is the capture
+  // op (kTxWrite only for a Tx* verb on a transactional drive, which also
+  // records `t` as open); `batch` counts the command in batch_commands /
+  // batched_pages. Stops at the first rejected page; `accepted` (optional)
+  // reports the torn-batch boundary, and only the accepted pages occupy
+  // the queue slot.
+  Status SubmitWrite(trace::Op op, TxId t, const uint64_t* pages,
+                     const uint8_t* const* datas, size_t n, size_t* accepted,
+                     bool batch);
   // Wire + FTL submit of `n` pages as one command (or a retried suffix):
   // per-page CRC sampling, bounded exponential backoff, partial-acceptance
   // tracking. `*accepted` is the count of pages durably accepted by the FTL.
   Status SubmitPayload(TxId t, const uint64_t* pages,
                        const uint8_t* const* datas, size_t n,
                        size_t* accepted);
-  // Routes to Write/WriteBatch or TxWrite/TxWriteBatch on the FTL.
+  // Hands the pages to the FTL one at a time (Write, or TxWrite under a
+  // transaction), stopping at the first error; `*ftl_accepted` counts the
+  // pages that took effect.
   Status ExecuteWrite(TxId t, const uint64_t* pages,
                       const uint8_t* const* datas, size_t n,
                       size_t* ftl_accepted);
@@ -388,7 +400,7 @@ class SataDevice : public TxBlockDevice {
   // ordered behind them inside the controller).
   void OrderCommit();
 
-  ftl::FtlInterface* const ftl_;
+  ftl::PageFtl* const ftl_;
   ftl::XFtl* const xftl_;  // non-null when ftl_ is transactional
   const SataTimings timings_;
   const LinkFaultModel fault_;

@@ -1,7 +1,6 @@
 #include "storage/sim_ssd.h"
 
 #include "check/xftl_fsck.h"
-#include "ftl/page_ftl.h"
 
 namespace xftl::storage {
 
@@ -102,16 +101,13 @@ void SimSsd::CutPower() {
 Status SimSsd::Reboot() {
   XFTL_RETURN_IF_ERROR(ftl_->Recover());
   if (spec_.fsck_on_power_cycle) {
-    auto* pftl = dynamic_cast<ftl::PageFtl*>(ftl_.get());
-    if (pftl != nullptr) {
-      check::FsckOptions opt;
-      opt.ftl = spec_.ftl;
-      opt.transactional = spec_.transactional;
-      check::FsckReport report = check::CheckRecovered(*flash_, opt, *pftl);
-      if (!report.ok()) {
-        return Status::Corruption("post-recovery fsck failed:\n" +
-                                  report.Summary());
-      }
+    check::FsckOptions opt;
+    opt.ftl = spec_.ftl;
+    opt.transactional = spec_.transactional;
+    check::FsckReport report = check::CheckRecovered(*flash_, opt, *ftl_);
+    if (!report.ok()) {
+      return Status::Corruption("post-recovery fsck failed:\n" +
+                                report.Summary());
     }
   }
   return Status::OK();

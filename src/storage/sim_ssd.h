@@ -49,7 +49,7 @@ class SimSsd {
   SimSsd& operator=(const SimSsd&) = delete;
 
   SataDevice* device() { return sata_.get(); }
-  ftl::FtlInterface* ftl() { return ftl_.get(); }
+  ftl::PageFtl* ftl() { return ftl_.get(); }
   // Null when the spec was not transactional.
   ftl::XFtl* xftl() { return xftl_; }
   flash::FlashDevice* flash() { return flash_.get(); }
@@ -80,7 +80,7 @@ class SimSsd {
   const SsdSpec spec_;
   SimClock* const clock_;
   std::unique_ptr<flash::FlashDevice> flash_;
-  std::unique_ptr<ftl::FtlInterface> ftl_;
+  std::unique_ptr<ftl::PageFtl> ftl_;
   ftl::XFtl* xftl_ = nullptr;
   std::unique_ptr<SataDevice> sata_;
 };

@@ -179,22 +179,6 @@ Status XFtl::TxWrite(TxId t, Lpn p, const uint8_t* data) {
   return Status::OK();
 }
 
-Status XFtl::TxWriteBatch(TxId t, const Lpn* lpns,
-                          const uint8_t* const* datas, size_t n,
-                          size_t* accepted) {
-  if (t == kNoTx) return WriteBatch(lpns, datas, n, accepted);
-  // Each TxWrite's program is submit-only (the host pays the channel
-  // transfer, the cell program overlaps on its bank), so this loop IS the
-  // bank-striped batch; the slot bookkeeping per page is DRAM work.
-  if (accepted != nullptr) *accepted = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Status s = TxWrite(t, lpns[i], datas[i]);
-    if (!s.ok()) return s;
-    if (accepted != nullptr) *accepted = i + 1;
-  }
-  return Status::OK();
-}
-
 Status XFtl::TxRead(TxId t, Lpn p, uint8_t* data) {
   if (t != kNoTx) {
     int idx = FindActiveSlot(t, p);

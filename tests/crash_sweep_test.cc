@@ -244,8 +244,6 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
   // drive booted from and each block's write pointer, and reopens.
   const flash::FlashDevice& dev = *ssd.flash();
   const flash::FlashConfig& fc = dev.config();
-  auto* pftl = dynamic_cast<ftl::PageFtl*>(ssd.ftl());
-  ASSERT_NE(pftl, nullptr);
   uint64_t booted_root = 0;
   std::vector<uint32_t> booted_wp(fc.num_blocks);
   std::vector<uint64_t> booted_erases(fc.num_blocks);
@@ -259,7 +257,7 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
     at_cut();
     Status cycled = ssd.Reboot();
     ASSERT_TRUE(cycled.ok()) << cycled.ToString();
-    booted_root = pftl->last_root_seq();
+    booted_root = ssd.ftl()->last_root_seq();
     for (flash::BlockNum b = 0; b < fc.num_blocks; ++b) {
       booted_wp[b] = dev.NextProgramPage(b);
       booted_erases[b] = dev.EraseCount(b);
@@ -324,7 +322,7 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
   if (param.double_crash) {
     // Second life: ids continue after the survivors; a second seeded plan
     // cuts power again, usually within the first few commits.
-    const uint64_t armed_root = pftl->last_root_seq();
+    const uint64_t armed_root = ssd.ftl()->last_root_seq();
     // Half the rows cut within the first commit's first programs: with a
     // flush per commit (drain, kPlp; rollback journal or WAL) that is the
     // only window before the second life writes a new root.
