@@ -147,8 +147,7 @@ Status TraceWriter::Close() {
 
 // --- TraceReader ------------------------------------------------------------
 
-TraceReader::TraceReader(std::FILE* file, int version)
-    : file_(file), version_(version) {}
+TraceReader::TraceReader(std::FILE* file) : file_(file) {}
 
 TraceReader::~TraceReader() {
   if (file_ != nullptr) std::fclose(file_);
@@ -159,20 +158,12 @@ StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("cannot open trace file " + path);
   char magic[sizeof(kTraceMagic)];
-  if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic)) {
+  if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
+      std::memcmp(magic, kTraceMagic, sizeof(magic)) != 0) {
     std::fclose(f);
     return Status::Corruption(path + " is not a trace file (bad magic)");
   }
-  int version;
-  if (std::memcmp(magic, kTraceMagic, sizeof(magic)) == 0) {
-    version = 2;
-  } else if (std::memcmp(magic, kTraceMagicV1, sizeof(magic)) == 0) {
-    version = 1;
-  } else {
-    std::fclose(f);
-    return Status::Corruption(path + " is not a trace file (bad magic)");
-  }
-  return std::unique_ptr<TraceReader>(new TraceReader(f, version));
+  return std::unique_ptr<TraceReader>(new TraceReader(f));
 }
 
 bool TraceReader::LoadFrame() {
@@ -225,23 +216,14 @@ bool TraceReader::LoadFrame() {
     TraceEvent e;
     int64_t dt = 0;
     uint64_t tid = 0, sid = 0;
-    if (version_ >= 2) {
-      p = GetSignedVarint64(p, limit, &dt);
-    } else {
-      // v1: unsigned delta (pre-scheduler traces are monotonic).
-      uint64_t udt = 0;
-      p = GetVarint64(p, limit, &udt);
-      dt = int64_t(udt);
-    }
+    p = GetSignedVarint64(p, limit, &dt);
     if (p == nullptr || limit - p < 2) { truncated_ = true; return false; }
     e.layer = Layer(*p++);
     e.op = Op(*p++);
     p = GetVarint64(p, limit, &tid);
     if (p == nullptr) { truncated_ = true; return false; }
-    if (version_ >= 2) {
-      p = GetVarint64(p, limit, &sid);
-      if (p == nullptr) { truncated_ = true; return false; }
-    }
+    p = GetVarint64(p, limit, &sid);
+    if (p == nullptr) { truncated_ = true; return false; }
     p = GetVarint64(p, limit, &e.a);
     if (p == nullptr) { truncated_ = true; return false; }
     p = GetVarint64(p, limit, &e.b);

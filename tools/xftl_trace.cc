@@ -11,11 +11,11 @@
 //                                       replays produce identical FtlStats
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/histogram.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
@@ -26,22 +26,6 @@
 
 namespace xftl::trace {
 namespace {
-
-std::string FlagString(int argc, char** argv, const char* name,
-                       const std::string& def) {
-  std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
-
-long FlagInt(int argc, char** argv, const char* name, long def) {
-  std::string v = FlagString(argc, argv, name, "");
-  return v.empty() ? def : std::atol(v.c_str());
-}
 
 int Usage() {
   std::fprintf(
@@ -499,9 +483,9 @@ int Summary(const std::string& path) {
 }
 
 int Replay(const std::string& path, int argc, char** argv) {
-  std::string profile = FlagString(argc, argv, "profile", "openssd");
-  std::string ftl = FlagString(argc, argv, "ftl", "xftl");
-  long blocks = FlagInt(argc, argv, "blocks", 512);
+  std::string profile = bench::FlagString(argc, argv, "profile", "openssd");
+  std::string ftl = bench::FlagString(argc, argv, "ftl", "xftl");
+  long blocks = bench::FlagInt(argc, argv, "blocks", 512);
 
   storage::SsdSpec spec = profile == "s830"
                               ? storage::S830Spec(uint32_t(blocks))
@@ -549,7 +533,7 @@ int Main(int argc, char** argv) {
   if (argc < 3) return Usage();
   std::string cmd = argv[1];
   std::string path = argv[2];
-  if (cmd == "dump") return Dump(path, FlagInt(argc, argv, "limit", 0));
+  if (cmd == "dump") return Dump(path, bench::FlagInt(argc, argv, "limit", 0));
   if (cmd == "summary") return Summary(path);
   if (cmd == "replay") return Replay(path, argc, argv);
   return Usage();
