@@ -412,6 +412,10 @@ void SataDevice::RecoverQueue(uint64_t failed_tag) {
   // epoch-prefix ordering, so the host tracks no per-tag epoch.
   uint64_t reissued_pages = 0;
   for (auto& [tag, cmd] : redo) {
+    // A transaction that committed or aborted since its tag was queued is
+    // finished: the FTL accepted the write before that verb ran, so the
+    // device state already reflects it, and a reissue would reopen it.
+    if (cmd.txn != ftl::kNoTx && !open_txns_.contains(cmd.txn)) continue;
     // Drop pages a newer tag also wrote (whether that tag already retired,
     // completed per the error log, or is itself about to be reissued later
     // in this loop): REDOing the older image would silently roll the newer

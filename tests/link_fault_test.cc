@@ -324,6 +324,50 @@ TEST_F(LinkFaultTest, DeferredErrorFailsTxCommitWithoutCommitting) {
   EXPECT_TRUE(dev()->TxAbort(5).ok());
 }
 
+// --- killed tags of finished transactions ----------------------------------
+
+// A transaction can finish while one of its tags is still queued: TxAbort
+// never waits for the queue, and kBarrier/kPlp commits only poll it. When
+// that tag is killed afterwards, queue recovery must not reissue it: the
+// reissued TxWrite would reopen the finished transaction and hold its pages
+// against every later writer.
+struct FinishedTxnCase {
+  ftl::CommitMode mode;
+  bool abort;  // finish with TxAbort instead of TxCommit
+};
+
+class FinishedTxnReissueTest
+    : public LinkFaultTest,
+      public ::testing::WithParamInterface<FinishedTxnCase> {};
+
+TEST_P(FinishedTxnReissueTest, KilledTagIsNotReissued) {
+  SsdSpec spec = TinySpec(true);
+  spec.ftl.commit_mode = GetParam().mode;
+  Build(spec);
+  dev()->ScriptDeviceAbort(1);
+  auto first = Page(1);
+  ASSERT_TRUE(dev()->TxWrite(1, 5, first.data()).ok());
+  Status finished = GetParam().abort ? dev()->TxAbort(1) : dev()->TxCommit(1);
+  ASSERT_TRUE(finished.ok()) << finished.ToString();
+  ASSERT_TRUE(dev()->AwaitDurable().ok());
+  EXPECT_EQ(dev()->stats().device_aborts, 1u);
+  auto second = Page(2);
+  Status s = dev()->TxWrite(2, 5, second.data());
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(dev()->TxCommit(2).ok());
+  EXPECT_EQ(ReadTag(5), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, FinishedTxnReissueTest,
+    ::testing::Values(FinishedTxnCase{ftl::CommitMode::kBarrier, false},
+                      FinishedTxnCase{ftl::CommitMode::kPlp, false},
+                      FinishedTxnCase{ftl::CommitMode::kDrain, true}),
+    [](const auto& info) {
+      return std::string(ftl::CommitModeName(info.param.mode)) +
+             (info.param.abort ? "_abort" : "_commit");
+    });
+
 // --- power-cut drop accounting (satellite 1) -------------------------------
 
 TEST_F(LinkFaultTest, PowerCutCountsDroppedInflightTags) {
