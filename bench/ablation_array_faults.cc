@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/counters.h"
 #include "workload/harness.h"
 
 namespace xftl::bench {
@@ -83,11 +84,12 @@ RunOut RunCell(uint32_t devices, uint32_t sessions, uint64_t txns,
   out.committed = r->committed;
   out.failed = r->failed;
   out.makespan_ms = NanosToMillis(r->makespan);
+  storage::SataStats sata;
   for (uint32_t i = 0; i < h.num_devices(); ++i) {
-    const storage::SataStats& s = h.ssd(i)->device()->stats();
-    out.prepares += s.prepare_commands;
-    out.records += s.commit_record_commands;
+    AddCounters(&sata, h.ssd(i)->device()->stats());
   }
+  out.prepares = sata.prepare_commands;
+  out.records = sata.commit_record_commands;
   out.ok = true;
   return out;
 }

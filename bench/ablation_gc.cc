@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "flash/flash_device.h"
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
       for (uint64_t lpn = 0; lpn < cfg.num_logical_pages; ++lpn) {
         CHECK(ftl.Write(lpn, page.data()).ok());
       }
-      ftl.ResetStats();
+      const FtlStats base = ftl.stats();
       for (int r = 0; r < rounds; ++r) {
         for (uint64_t i = 0; i < cfg.num_logical_pages; ++i) {
           CHECK(ftl.Write(rng.Uniform(cfg.num_logical_pages), page.data())
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      const FtlStats& s = ftl.stats();
+      const FtlStats s = CounterDelta(ftl.stats(), base);
       double wa = double(s.TotalPageWrites()) / double(s.host_page_writes);
       uint64_t wear_min = ~0ull, wear_max = 0;
       for (flash::BlockNum b = cfg.meta_blocks; b < fcfg.num_blocks; ++b) {

@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
     wl.num_tuples = tuples;
     CHECK(LoadPartsupp(db, wl).ok());
 
-    ftl::FtlStats base = h.ssd()->ftl()->stats();
     h.StartMeasurement();
 
     Rng rng(99);
@@ -95,7 +94,7 @@ int main(int argc, char** argv) {
       }
     }
     IoSnapshot s = h.Snapshot();
-    ftl::FtlStats d = h.ssd()->ftl()->stats().Delta(base);
+    const ftl::FtlStats& d = s.ftl;
     double wa = d.host_page_writes == 0
                     ? 0.0
                     : double(d.TotalPageWrites()) / double(d.host_page_writes);
@@ -115,10 +114,10 @@ int main(int argc, char** argv) {
           .Add("txns", uint64_t(done))
           .Add("tx_per_sec", secs > 0 ? done / secs : 0.0)
           .Add("wa", wa)
-          .Add("program_fails", s.program_fails)
-          .Add("erase_fails", s.erase_fails)
-          .Add("grown_bad_blocks", s.grown_bad_blocks)
-          .Add("ecc_corrected_bits", s.ecc_corrected)
+          .Add("program_fails", s.flash.program_fails)
+          .Add("erase_fails", s.flash.erase_fails)
+          .Add("grown_bad_blocks", s.ftl.grown_bad_blocks)
+          .Add("ecc_corrected_bits", s.flash.ecc_corrected)
           .Add("read_only", h.ssd()->ftl()->read_only())
           .Add("reads_ok", reads_ok)
           .Add("outcome", stop.empty() ? "completed" : stop);
@@ -128,10 +127,10 @@ int main(int argc, char** argv) {
           "%-9.0e | %5u %9.1f %6.2f | %6llu %6llu %4llu %9llu %8llu | "
           "%s\n",
           rate, done, secs > 0 ? done / secs : 0.0, wa,
-          (unsigned long long)s.program_fails,
-          (unsigned long long)s.erase_fails,
-          (unsigned long long)s.grown_bad_blocks,
-          (unsigned long long)s.ecc_corrected,
+          (unsigned long long)s.flash.program_fails,
+          (unsigned long long)s.flash.erase_fails,
+          (unsigned long long)s.ftl.grown_bad_blocks,
+          (unsigned long long)s.flash.ecc_corrected,
           (unsigned long long)h.ssd()->ftl()->stats().program_fail_reissues,
           outcome.c_str());
     }
@@ -165,7 +164,6 @@ int main(int argc, char** argv) {
     wl.num_tuples = tuples;
     CHECK(LoadPartsupp(db, wl).ok());
 
-    flash::FlashStats fbase = h.ssd()->flash()->stats();
     h.StartMeasurement();
     Rng rng(99);
     uint32_t done = 0;
@@ -173,9 +171,8 @@ int main(int argc, char** argv) {
       if (!OneTransaction(db, rng, tuples).ok()) break;
     }
     IoSnapshot s = h.Snapshot();
-    const flash::FlashStats& f = h.ssd()->flash()->stats();
-    uint64_t flushes = f.buffer_flushes - fbase.buffer_flushes;
-    uint64_t flushed = f.programs_flushed - fbase.programs_flushed;
+    uint64_t flushes = s.flash.buffer_flushes;
+    uint64_t flushed = s.flash.programs_flushed;
     double secs = NanosToSeconds(s.elapsed);
     uint32_t actual =
         depth == 0 ? h.ssd()->flash()->config().write_buffer_pages : depth;

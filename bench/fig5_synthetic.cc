@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
               .Add("tuples", uint64_t(tuples))
               .Add("txns", uint64_t(txns))
               .Add("elapsed_s", NanosToSeconds(s.elapsed))
-              .Add("ftl_page_writes", s.ftl_page_writes)
-              .Add("ftl_page_reads", s.ftl_page_reads)
-              .Add("gc_count", s.gc_count)
-              .Add("erase_count", s.erase_count)
+              .Add("ftl_page_writes", s.ftl.TotalPageWrites())
+              .Add("ftl_page_reads", s.ftl.host_page_reads)
+              .Add("gc_count", s.ftl.gc_runs)
+              .Add("erase_count", s.ftl.block_erases)
               .Add("fsync_calls", s.fsync_calls);
           o.Print();
         } else {

@@ -47,19 +47,22 @@ int main(int argc, char** argv) {
       h.StartMeasurement();
       CHECK(RunSyntheticUpdates(db, wl).ok());
       IoSnapshot s = h.Snapshot();
+      const double achieved =
+          s.ftl.MeanGcValidRatio(h.ssd()->flash()->config().pages_per_block);
       if (json) {
         bench::JsonObject o;
         o.Add("bench", "fig6_gc_activity")
             .Add("validity_target", validity)
             .Add("mode", SetupName(setup))
-            .Add("page_writes", s.ftl_page_writes)
-            .Add("gc_count", s.gc_count)
-            .Add("achieved_validity", s.gc_valid_ratio);
+            .Add("page_writes", s.ftl.TotalPageWrites())
+            .Add("gc_count", s.ftl.gc_runs)
+            .Add("achieved_validity", achieved);
         o.Print();
       } else {
         std::printf("%7.0f%%  %-8s %14llu %10llu %11.0f%%\n", validity * 100,
-                    SetupName(setup), (unsigned long long)s.ftl_page_writes,
-                    (unsigned long long)s.gc_count, s.gc_valid_ratio * 100);
+                    SetupName(setup),
+                    (unsigned long long)s.ftl.TotalPageWrites(),
+                    (unsigned long long)s.ftl.gc_runs, achieved * 100);
         std::fflush(stdout);
       }
     }

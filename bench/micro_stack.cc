@@ -123,8 +123,9 @@ void BM_SqlInsertTxn(benchmark::State& state) {
   SqlEnv env(mode);
   int64_t id = 0;
   for (auto _ : state) {
+    ++id;
     CHECK(env.db
-              ->Exec("INSERT INTO t VALUES (" + std::to_string(++id) +
+              ->Exec("INSERT INTO t VALUES (" + std::to_string(id) +
                      ", 'payload-" + std::to_string(id) + "')")
               .ok());
   }

@@ -57,10 +57,10 @@ int main(int argc, char** argv) {
                 (unsigned long long)s.sqlite_journal_writes,
                 (unsigned long long)s.fs_meta_writes,
                 (unsigned long long)s.fsync_calls,
-                (unsigned long long)s.ftl_page_writes,
-                (unsigned long long)s.ftl_page_reads,
-                (unsigned long long)s.gc_count,
-                (unsigned long long)s.erase_count,
+                (unsigned long long)s.ftl.TotalPageWrites(),
+                (unsigned long long)s.ftl.host_page_reads,
+                (unsigned long long)s.ftl.gc_runs,
+                (unsigned long long)s.ftl.block_erases,
                 NanosToSeconds(s.elapsed));
   }
   std::printf("\npaper reference (1000 txns, OpenSSD):\n");

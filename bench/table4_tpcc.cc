@@ -114,12 +114,12 @@ int main(int argc, char** argv) {
             .Add("txns", txns)
             .Add("tpm", results[si][mi])
             .Add("link_fault_rate", link_fault_rate)
-            .Add("link_resets", s.link_resets)
+            .Add("link_resets", s.sata.link_resets)
             .Add("elapsed_s", NanosToSeconds(s.elapsed))
-            .Add("ftl_page_writes", s.ftl_page_writes)
-            .Add("ftl_page_reads", s.ftl_page_reads)
-            .Add("gc_count", s.gc_count)
-            .Add("erase_count", s.erase_count)
+            .Add("ftl_page_writes", s.ftl.TotalPageWrites())
+            .Add("ftl_page_reads", s.ftl.host_page_reads)
+            .Add("gc_count", s.ftl.gc_runs)
+            .Add("erase_count", s.ftl.block_erases)
             .Add("fsync_calls", s.fsync_calls);
         o.Print();
       } else {

@@ -33,6 +33,7 @@
 
 #include "bench/bench_util.h"
 #include "check/xftl_fsck.h"
+#include "common/counters.h"
 #include "workload/harness.h"
 #include "workload/synthetic.h"
 
@@ -124,25 +125,23 @@ int main(int argc, char** argv) {
       const SimNanos t0 = h.clock()->Now();
       CHECK(h.CrashAndRecover().ok());
       device_ms += NanosToMillis(h.clock()->Now() - t0);
-      const flash::FlashStats& after = dev.stats();
+      const flash::FlashStats boot = CounterDelta(dev.stats(), before);
       meta_pages += meta;
       blocks += std::accumulate(heads.begin(), heads.end(), uint64_t{0}) -
                 meta;
       tail_pages += tail;
-      programmed +=
-          meta + pages - (after.programs_dropped - before.programs_dropped);
-      oob_reads += after.oob_reads - before.oob_reads;
+      programmed += meta + pages - boot.programs_dropped;
+      oob_reads += boot.oob_reads;
       scan_ms += NanosToMillis(
           SimNanos(*std::max_element(heads.begin(), heads.end()) + tail) *
           fc.timings.read_page);
       read_ms += NanosToMillis(
-          SimNanos(after.page_reads - before.page_reads) *
+          SimNanos(boot.page_reads) *
           (fc.timings.read_page + fc.timings.bus_per_page));
       write_ms += NanosToMillis(
-          SimNanos(after.page_programs - before.page_programs) *
+          SimNanos(boot.page_programs) *
               (fc.timings.program_page + fc.timings.bus_per_page) +
-          SimNanos(after.block_erases - before.block_erases) *
-              fc.timings.erase_block);
+          SimNanos(boot.block_erases) * fc.timings.erase_block);
 
       auto* db = h.OpenDatabase("synthetic.db").value();
       SimNanos restart = db->last_recovery_nanos();

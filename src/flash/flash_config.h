@@ -6,8 +6,10 @@
 #ifndef XFTL_FLASH_FLASH_CONFIG_H_
 #define XFTL_FLASH_FLASH_CONFIG_H_
 
+#include <array>
 #include <cstdint>
 
+#include "common/counters.h"
 #include "common/units.h"
 
 namespace xftl::flash {
@@ -136,7 +138,31 @@ struct FlashStats {
   uint64_t bit_flips = 0;          // raw bit errors injected into reads
   uint64_t ecc_corrected = 0;      // bits corrected by the FTL's ECC engine
   uint64_t ecc_uncorrectable = 0;  // reads the ECC engine gave up on
+
+  // Every counter, for AddCounters and CounterDelta.
+  static constexpr std::array kCounters = {
+      &FlashStats::page_reads,
+      &FlashStats::oob_reads,
+      &FlashStats::page_programs,
+      &FlashStats::block_erases,
+      &FlashStats::torn_programs,
+      &FlashStats::buffer_flushes,
+      &FlashStats::programs_flushed,
+      &FlashStats::programs_dropped,
+      &FlashStats::barrier_epochs,
+      &FlashStats::programs_stalled_for_order,
+      &FlashStats::programs_stalled_for_bank,
+      // A peak, not a count: a sum or delta of it means nothing, and no
+      // caller reads it from one. Listed so the table stays complete.
+      &FlashStats::max_epochs_in_flight,
+      &FlashStats::program_fails,
+      &FlashStats::erase_fails,
+      &FlashStats::bit_flips,
+      &FlashStats::ecc_corrected,
+      &FlashStats::ecc_uncorrectable,
+  };
 };
+static_assert(ListsEveryCounter<FlashStats>());
 
 }  // namespace xftl::flash
 

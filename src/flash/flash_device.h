@@ -71,7 +71,6 @@ class FlashDevice {
 
   const FlashConfig& config() const { return config_; }
   const FlashStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = FlashStats{}; }
   SimClock* clock() const { return clock_; }
 
   // Optional event tracing (raw reads/programs/erases); null disables.

@@ -136,11 +136,6 @@ Status ExtFs::Unmount() {
   return Status::OK();
 }
 
-void ExtFs::ResetStats() {
-  stats_ = FsStats{};
-  if (journal_) journal_->ResetStats();
-}
-
 // ---------------------------------------------------------------------------
 // inode / bitmap
 // ---------------------------------------------------------------------------

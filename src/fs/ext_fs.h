@@ -178,7 +178,6 @@ class ExtFs {
     static const JournalStats kEmpty{};
     return journal_ ? journal_->stats() : kEmpty;
   }
-  void ResetStats();
   JournalMode journal_mode() const { return options_.journal_mode; }
   uint64_t cache_steals() const { return cache_->steals(); }
 

@@ -50,7 +50,6 @@ class Journal {
   Status Recover();
 
   const JournalStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = JournalStats{}; }
 
  private:
   storage::BlockDevice* const dev_;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <vector>
 
+#include "common/counters.h"
+
 namespace xftl::ftl {
 
 double Ager::UtilizationForValidity(double validity) {
@@ -28,17 +30,14 @@ StatusOr<double> Ager::Age(PageFtl* ftl, uint64_t seed,
   // Random overwrites to fragment blocks; measure the last round only.
   for (int round = 0; round < overwrite_rounds; ++round) {
     bool last = round == overwrite_rounds - 1;
-    uint64_t runs_before = ftl->stats().gc_runs;
-    uint64_t valid_before = ftl->stats().gc_valid_pages_seen;
+    const FtlStats before = ftl->stats();
     for (uint64_t i = 0; i < n; ++i) {
       rng.FillBytes(buf.data(), 64);
       XFTL_RETURN_IF_ERROR(ftl->Write(rng.Uniform(n), buf.data()));
     }
     if (last) {
-      uint64_t runs = ftl->stats().gc_runs - runs_before;
-      uint64_t valid = ftl->stats().gc_valid_pages_seen - valid_before;
-      if (runs == 0) return 0.0;
-      return double(valid) / (double(runs) * double(ftl->pages_per_block()));
+      return CounterDelta(ftl->stats(), before)
+          .MeanGcValidRatio(ftl->pages_per_block());
     }
   }
   return 0.0;

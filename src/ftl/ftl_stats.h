@@ -4,7 +4,10 @@
 #ifndef XFTL_FTL_FTL_STATS_H_
 #define XFTL_FTL_FTL_STATS_H_
 
+#include <array>
 #include <cstdint>
+
+#include "common/counters.h"
 
 namespace xftl::ftl {
 
@@ -44,6 +47,32 @@ struct FtlStats {
   uint64_t recovery_pages_scanned = 0;
   uint64_t recovery_blocks_resumed = 0;
 
+  // Every counter, for AddCounters and CounterDelta.
+  static constexpr std::array kCounters = {
+      &FtlStats::host_page_writes,
+      &FtlStats::host_page_reads,
+      &FtlStats::gc_runs,
+      &FtlStats::gc_copyback_reads,
+      &FtlStats::gc_copyback_writes,
+      &FtlStats::gc_valid_pages_seen,
+      &FtlStats::meta_page_writes,
+      &FtlStats::block_erases,
+      &FtlStats::flush_barriers,
+      &FtlStats::ordered_barriers,
+      &FtlStats::grown_bad_blocks,
+      &FtlStats::program_fail_reissues,
+      &FtlStats::retire_relocations,
+      &FtlStats::ecc_read_retries,
+      &FtlStats::pages_lost,
+      &FtlStats::recovery_torn_meta_pages,
+      &FtlStats::recovery_root_fallbacks,
+      &FtlStats::recovery_stale_mappings,
+      &FtlStats::recovery_discarded_txn_pages,
+      &FtlStats::recovery_blocks_trusted,
+      &FtlStats::recovery_pages_scanned,
+      &FtlStats::recovery_blocks_resumed,
+  };
+
   // Total physical page programs, as the paper's Table 1 "Write" column
   // counts them (host + copied-back + metadata).
   uint64_t TotalPageWrites() const {
@@ -63,70 +92,13 @@ struct FtlStats {
   // Field-wise equality (replay-determinism checks compare snapshots).
   bool operator==(const FtlStats&) const = default;
 
-  // Field-wise sum: aggregates per-device counters into an array-wide view
-  // (the workload harness over a host::StripedVolume sums its members).
-  void Add(const FtlStats& o) {
-    host_page_writes += o.host_page_writes;
-    host_page_reads += o.host_page_reads;
-    gc_runs += o.gc_runs;
-    gc_copyback_reads += o.gc_copyback_reads;
-    gc_copyback_writes += o.gc_copyback_writes;
-    gc_valid_pages_seen += o.gc_valid_pages_seen;
-    meta_page_writes += o.meta_page_writes;
-    block_erases += o.block_erases;
-    flush_barriers += o.flush_barriers;
-    ordered_barriers += o.ordered_barriers;
-    grown_bad_blocks += o.grown_bad_blocks;
-    program_fail_reissues += o.program_fail_reissues;
-    retire_relocations += o.retire_relocations;
-    ecc_read_retries += o.ecc_read_retries;
-    pages_lost += o.pages_lost;
-    recovery_torn_meta_pages += o.recovery_torn_meta_pages;
-    recovery_root_fallbacks += o.recovery_root_fallbacks;
-    recovery_stale_mappings += o.recovery_stale_mappings;
-    recovery_discarded_txn_pages += o.recovery_discarded_txn_pages;
-    recovery_blocks_trusted += o.recovery_blocks_trusted;
-    recovery_pages_scanned += o.recovery_pages_scanned;
-    recovery_blocks_resumed += o.recovery_blocks_resumed;
-  }
-
   // Counter deltas since `base` (a snapshot taken earlier from the same
   // FTL): the traffic attributable to the interval between the two reads.
   FtlStats Delta(const FtlStats& base) const {
-    FtlStats d;
-    d.host_page_writes = host_page_writes - base.host_page_writes;
-    d.host_page_reads = host_page_reads - base.host_page_reads;
-    d.gc_runs = gc_runs - base.gc_runs;
-    d.gc_copyback_reads = gc_copyback_reads - base.gc_copyback_reads;
-    d.gc_copyback_writes = gc_copyback_writes - base.gc_copyback_writes;
-    d.gc_valid_pages_seen = gc_valid_pages_seen - base.gc_valid_pages_seen;
-    d.meta_page_writes = meta_page_writes - base.meta_page_writes;
-    d.block_erases = block_erases - base.block_erases;
-    d.flush_barriers = flush_barriers - base.flush_barriers;
-    d.ordered_barriers = ordered_barriers - base.ordered_barriers;
-    d.grown_bad_blocks = grown_bad_blocks - base.grown_bad_blocks;
-    d.program_fail_reissues =
-        program_fail_reissues - base.program_fail_reissues;
-    d.retire_relocations = retire_relocations - base.retire_relocations;
-    d.ecc_read_retries = ecc_read_retries - base.ecc_read_retries;
-    d.pages_lost = pages_lost - base.pages_lost;
-    d.recovery_torn_meta_pages =
-        recovery_torn_meta_pages - base.recovery_torn_meta_pages;
-    d.recovery_root_fallbacks =
-        recovery_root_fallbacks - base.recovery_root_fallbacks;
-    d.recovery_stale_mappings =
-        recovery_stale_mappings - base.recovery_stale_mappings;
-    d.recovery_discarded_txn_pages =
-        recovery_discarded_txn_pages - base.recovery_discarded_txn_pages;
-    d.recovery_blocks_trusted =
-        recovery_blocks_trusted - base.recovery_blocks_trusted;
-    d.recovery_pages_scanned =
-        recovery_pages_scanned - base.recovery_pages_scanned;
-    d.recovery_blocks_resumed =
-        recovery_blocks_resumed - base.recovery_blocks_resumed;
-    return d;
+    return CounterDelta(*this, base);
   }
 };
+static_assert(ListsEveryCounter<FtlStats>());
 
 }  // namespace xftl::ftl
 

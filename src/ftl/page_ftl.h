@@ -165,7 +165,6 @@ class PageFtl {
   SimNanos LastCompletionTime() const { return device_->last_op_done(); }
 
   const FtlStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = FtlStats{}; }
 
   flash::FlashDevice* device() const { return device_; }
   const FtlConfig& ftl_config() const { return config_; }

@@ -167,7 +167,6 @@ class Pager {
   Status Checkpoint();
 
   const PagerStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PagerStats{}; }
   uint64_t wal_frames() const;  // committed frames currently in the WAL
 
   // Optional event tracing of transaction boundaries; null disables.

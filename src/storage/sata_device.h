@@ -53,12 +53,14 @@
 #ifndef XFTL_STORAGE_SATA_DEVICE_H_
 #define XFTL_STORAGE_SATA_DEVICE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
@@ -153,43 +155,43 @@ struct SataStats {
   uint64_t snap_unpin_commands = 0;  // pins released
   uint64_t snap_read_commands = 0;   // version-aware page reads
 
-  // Field-wise sum: aggregates per-device front-end counters into an
-  // array-wide view (the workload harness over a host::StripedVolume).
-  void Add(const SataStats& o) {
-    read_commands += o.read_commands;
-    write_commands += o.write_commands;
-    trim_commands += o.trim_commands;
-    barrier_commands += o.barrier_commands;
-    commit_commands += o.commit_commands;
-    abort_commands += o.abort_commands;
-    prepare_commands += o.prepare_commands;
-    commit_record_commands += o.commit_record_commands;
-    resolve_commands += o.resolve_commands;
-    queued_commands += o.queued_commands;
-    queue_full_stalls += o.queue_full_stalls;
-    batch_commands += o.batch_commands;
-    batched_pages += o.batched_pages;
-    crc_errors += o.crc_errors;
-    command_timeouts += o.command_timeouts;
-    device_aborts += o.device_aborts;
-    link_retries += o.link_retries;
-    link_resets += o.link_resets;
-    aborted_tags += o.aborted_tags;
-    reissued_commands += o.reissued_commands;
-    reissued_pages += o.reissued_pages;
-    backoff_nanos += o.backoff_nanos;
-    degraded_entries += o.degraded_entries;
-    degraded_exits += o.degraded_exits;
-    link_failures += o.link_failures;
-    deferred_errors += o.deferred_errors;
-    deferred_errors_reported += o.deferred_errors_reported;
-    dropped_on_power_cut += o.dropped_on_power_cut;
-    dropped_pages_on_power_cut += o.dropped_pages_on_power_cut;
-    snap_pin_commands += o.snap_pin_commands;
-    snap_unpin_commands += o.snap_unpin_commands;
-    snap_read_commands += o.snap_read_commands;
-  }
+  // Every counter, for AddCounters and CounterDelta.
+  static constexpr std::array kCounters = {
+      &SataStats::read_commands,
+      &SataStats::write_commands,
+      &SataStats::trim_commands,
+      &SataStats::barrier_commands,
+      &SataStats::commit_commands,
+      &SataStats::abort_commands,
+      &SataStats::prepare_commands,
+      &SataStats::commit_record_commands,
+      &SataStats::resolve_commands,
+      &SataStats::queued_commands,
+      &SataStats::queue_full_stalls,
+      &SataStats::batch_commands,
+      &SataStats::batched_pages,
+      &SataStats::crc_errors,
+      &SataStats::command_timeouts,
+      &SataStats::device_aborts,
+      &SataStats::link_retries,
+      &SataStats::link_resets,
+      &SataStats::aborted_tags,
+      &SataStats::reissued_commands,
+      &SataStats::reissued_pages,
+      &SataStats::backoff_nanos,
+      &SataStats::degraded_entries,
+      &SataStats::degraded_exits,
+      &SataStats::link_failures,
+      &SataStats::deferred_errors,
+      &SataStats::deferred_errors_reported,
+      &SataStats::dropped_on_power_cut,
+      &SataStats::dropped_pages_on_power_cut,
+      &SataStats::snap_pin_commands,
+      &SataStats::snap_unpin_commands,
+      &SataStats::snap_read_commands,
+  };
 };
+static_assert(ListsEveryCounter<SataStats>());
 
 class SataDevice : public TxBlockDevice {
  public:
@@ -283,7 +285,6 @@ class SataDevice : public TxBlockDevice {
   bool has_deferred_error() const { return !deferred_error_.ok(); }
 
   const SataStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = SataStats{}; }
   ftl::PageFtl* ftl() const { return ftl_; }
   ftl::CommitMode commit_mode() const { return ftl_->commit_mode(); }
   // Barrier epoch the next queued write will be tagged with (volatile host

@@ -2,8 +2,7 @@
 // Every layer holds an optional `Tracer*` (null by default — tracing
 // disabled costs one pointer compare per instrumented operation) and calls
 // Record() with a TraceEvent. The tracer
-//   * feeds a per-(layer, op) latency Histogram,
-//   * counts events per layer in its MetricsRegistry, and
+//   * feeds a per-(layer, op) latency Histogram, and
 //   * optionally streams each event to a TraceWriter for offline analysis
 //     and replay.
 //
@@ -15,7 +14,6 @@
 #include <memory>
 
 #include "common/histogram.h"
-#include "trace/metrics_registry.h"
 #include "trace/trace_event.h"
 #include "trace/trace_file.h"
 
@@ -23,7 +21,7 @@ namespace xftl::trace {
 
 class Tracer {
  public:
-  // `sink` may be null (histograms/metrics only) and is not owned.
+  // `sink` may be null (histograms only) and is not owned.
   explicit Tracer(TraceWriter* sink = nullptr) : sink_(sink) {}
 
   Tracer(const Tracer&) = delete;
@@ -60,9 +58,6 @@ class Tracer {
   }
   uint64_t event_count() const { return event_count_; }
 
-  MetricsRegistry* metrics() { return &metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-
   TraceWriter* sink() const { return sink_; }
   // Detach (or swap) the file sink; histograms keep accumulating.
   void set_sink(TraceWriter* sink) { sink_ = sink; }
@@ -70,7 +65,6 @@ class Tracer {
  private:
   TraceWriter* sink_;
   std::array<std::array<Histogram, kNumOps>, kNumLayers> latency_;
-  MetricsRegistry metrics_;
   uint64_t event_count_ = 0;
   uint32_t session_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "workload/harness.h"
 
+#include "common/counters.h"
 #include "ftl/ager.h"
 #include "host/scheduler.h"
 #include "host/session.h"
@@ -96,7 +97,7 @@ Status Harness::Setup() {
   return Status::OK();
 }
 
-storage::SimSsd* Harness::ssd(uint32_t i) {
+storage::SimSsd* Harness::ssd(uint32_t i) const {
   if (volume_ != nullptr) return volume_->member(i);
   CHECK_EQ(i, 0u);
   return ssd_.get();
@@ -234,40 +235,26 @@ void Harness::WireTracer() {
   }
 }
 
-Harness::Baseline Harness::Collect() const {
-  Baseline b;
+IoSnapshot Harness::Collect() const {
+  IoSnapshot c;
   for (const auto& [name, db] : dbs_) {
     if (db == nullptr) continue;
     const auto& ps = db->pager()->stats();
-    b.db_writes += ps.db_page_writes;
-    b.journal_writes += ps.journal_page_writes;
+    c.sqlite_db_writes += ps.db_page_writes;
+    c.sqlite_journal_writes += ps.journal_page_writes;
   }
   const auto& fstats = fs_->stats();
-  b.fs_meta = fstats.TotalMetadataWrites(fs_->journal_stats());
-  b.fsyncs = fstats.fsync_calls;
+  c.fs_meta_writes = fstats.TotalMetadataWrites(fs_->journal_stats());
+  c.fsync_calls = fstats.fsync_calls;
   // Array-wide view: counters summed over every member.
-  if (volume_ != nullptr) {
-    for (uint32_t i = 0; i < volume_->num_devices(); ++i) {
-      storage::SimSsd* m = volume_->member(i);
-      b.ftl.Add(m->ftl()->stats());
-      b.sata.Add(m->device()->stats());
-      const auto& raw = m->flash()->stats();
-      b.program_fails += raw.program_fails;
-      b.erase_fails += raw.erase_fails;
-      b.ecc_corrected += raw.ecc_corrected;
-      b.ecc_uncorrectable += raw.ecc_uncorrectable;
-    }
-  } else {
-    b.ftl = ssd_->ftl()->stats();
-    b.sata = ssd_->device()->stats();
-    const auto& raw = ssd_->flash()->stats();
-    b.program_fails = raw.program_fails;
-    b.erase_fails = raw.erase_fails;
-    b.ecc_corrected = raw.ecc_corrected;
-    b.ecc_uncorrectable = raw.ecc_uncorrectable;
+  for (uint32_t i = 0; i < num_devices(); ++i) {
+    storage::SimSsd* m = ssd(i);
+    AddCounters(&c.ftl, m->ftl()->stats());
+    AddCounters(&c.sata, m->device()->stats());
+    AddCounters(&c.flash, m->flash()->stats());
   }
-  b.time = clock_.Now();
-  return b;
+  c.elapsed = clock_.Now();
+  return c;
 }
 
 StatusOr<MultiSessionResult> Harness::RunMultiSession(
@@ -367,40 +354,17 @@ StatusOr<MultiSessionResult> Harness::RunMultiSession(
 void Harness::StartMeasurement() { baseline_ = Collect(); }
 
 IoSnapshot Harness::Snapshot() const {
-  Baseline now = Collect();
-  ftl::FtlStats d = now.ftl.Delta(baseline_.ftl);
+  const IoSnapshot now = Collect();
   IoSnapshot s;
-  s.sqlite_db_writes = now.db_writes - baseline_.db_writes;
-  s.sqlite_journal_writes = now.journal_writes - baseline_.journal_writes;
-  s.fs_meta_writes = now.fs_meta - baseline_.fs_meta;
-  s.fsync_calls = now.fsyncs - baseline_.fsyncs;
-  // The paper's "Read" column tracks host-requested reads; its "Write"
-  // column explicitly includes internal copy-backs.
-  s.ftl_page_writes = d.TotalPageWrites();
-  s.ftl_page_reads = d.host_page_reads;
-  s.gc_count = d.gc_runs;
-  s.erase_count = d.block_erases;
-  const auto& flash_cfg = volume_ != nullptr
-                              ? volume_->member(0)->flash()->config()
-                              : ssd_->flash()->config();
-  s.gc_valid_ratio = d.MeanGcValidRatio(flash_cfg.pages_per_block);
-  s.program_fails = now.program_fails - baseline_.program_fails;
-  s.erase_fails = now.erase_fails - baseline_.erase_fails;
-  s.grown_bad_blocks = d.grown_bad_blocks;
-  s.ecc_corrected = now.ecc_corrected - baseline_.ecc_corrected;
-  s.ecc_uncorrectable = now.ecc_uncorrectable - baseline_.ecc_uncorrectable;
-  const auto& ls = now.sata;
-  const auto& lb = baseline_.sata;
-  s.link_crc_errors = ls.crc_errors - lb.crc_errors;
-  s.link_timeouts = ls.command_timeouts - lb.command_timeouts;
-  s.link_aborts = ls.device_aborts - lb.device_aborts;
-  s.link_retries = ls.link_retries - lb.link_retries;
-  s.link_resets = ls.link_resets - lb.link_resets;
-  s.link_reissued_pages = ls.reissued_pages - lb.reissued_pages;
-  s.link_backoff_nanos = ls.backoff_nanos - lb.backoff_nanos;
-  s.link_degraded_entries = ls.degraded_entries - lb.degraded_entries;
-  s.link_deferred_errors = ls.deferred_errors - lb.deferred_errors;
-  s.elapsed = now.time - baseline_.time;
+  s.sqlite_db_writes = now.sqlite_db_writes - baseline_.sqlite_db_writes;
+  s.sqlite_journal_writes =
+      now.sqlite_journal_writes - baseline_.sqlite_journal_writes;
+  s.fs_meta_writes = now.fs_meta_writes - baseline_.fs_meta_writes;
+  s.fsync_calls = now.fsync_calls - baseline_.fsync_calls;
+  s.ftl = CounterDelta(now.ftl, baseline_.ftl);
+  s.sata = CounterDelta(now.sata, baseline_.sata);
+  s.flash = CounterDelta(now.flash, baseline_.flash);
+  s.elapsed = now.elapsed - baseline_.elapsed;
   return s;
 }
 

@@ -87,28 +87,12 @@ struct IoSnapshot {
   uint64_t sqlite_journal_writes = 0;  // pages written to journal/WAL files
   uint64_t fs_meta_writes = 0;         // file-system metadata + journal
   uint64_t fsync_calls = 0;
-  // FTL side.
-  uint64_t ftl_page_writes = 0;  // incl. GC copy-backs and mapping pages
-  uint64_t ftl_page_reads = 0;
-  uint64_t gc_count = 0;
-  uint64_t erase_count = 0;
-  double gc_valid_ratio = 0.0;
-  // Reliability (NAND failure handling over the interval).
-  uint64_t program_fails = 0;
-  uint64_t erase_fails = 0;
-  uint64_t grown_bad_blocks = 0;
-  uint64_t ecc_corrected = 0;      // raw bits corrected by the ECC engine
-  uint64_t ecc_uncorrectable = 0;  // reads the decoder had to give up on
-  // Link-fault recovery (SATA front-end) over the interval.
-  uint64_t link_crc_errors = 0;
-  uint64_t link_timeouts = 0;
-  uint64_t link_aborts = 0;
-  uint64_t link_retries = 0;
-  uint64_t link_resets = 0;
-  uint64_t link_reissued_pages = 0;
-  uint64_t link_backoff_nanos = 0;
-  uint64_t link_degraded_entries = 0;
-  uint64_t link_deferred_errors = 0;
+  // Device side, summed over the array's members. Table 1's FTL columns are
+  // ftl.TotalPageWrites() (GC copy-backs and mapping pages included),
+  // ftl.host_page_reads, ftl.gc_runs and ftl.block_erases.
+  ftl::FtlStats ftl;
+  storage::SataStats sata;
+  flash::FlashStats flash;
   // Time.
   SimNanos elapsed = 0;
 };
@@ -218,7 +202,7 @@ class Harness {
   fs::ExtFs* fs() { return fs_.get(); }
   // The i-th array member (i < num_devices). With num_devices == 1 the
   // single legacy drive is member 0.
-  storage::SimSsd* ssd(uint32_t i = 0);
+  storage::SimSsd* ssd(uint32_t i = 0) const;
   uint32_t num_devices() const { return config_.num_devices; }
   // Null unless num_devices > 1.
   host::StripedVolume* volume() { return volume_.get(); }
@@ -243,15 +227,8 @@ class Harness {
   trace::Tracer* tracer() { return tracer_.get(); }
 
  private:
-  struct Baseline {
-    uint64_t db_writes = 0, journal_writes = 0, fs_meta = 0, fsyncs = 0;
-    ftl::FtlStats ftl;  // snapshot; intervals diff via FtlStats::Delta
-    storage::SataStats sata;  // snapshot; intervals diff field-wise
-    uint64_t program_fails = 0, erase_fails = 0;
-    uint64_t ecc_corrected = 0, ecc_uncorrectable = 0;
-    SimNanos time = 0;
-  };
-  Baseline Collect() const;
+  // Every counter of the stack as it stands now, `elapsed` = the clock.
+  IoSnapshot Collect() const;
   void WireTracer();
 
   const HarnessConfig config_;
@@ -264,7 +241,7 @@ class Harness {
   bool barrier_commit_ = false;  // effective firmware mode is kBarrier
   std::unique_ptr<trace::TraceWriter> trace_writer_;
   std::unique_ptr<trace::Tracer> tracer_;
-  Baseline baseline_;
+  IoSnapshot baseline_;  // Collect() at StartMeasurement()
 };
 
 }  // namespace xftl::workload

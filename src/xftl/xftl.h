@@ -183,7 +183,6 @@ class XFtl : public PageFtl {
 
   const XftlStats& xstats() const { return xstats_; }
   bool plp_commit() const { return commit_mode() == CommitMode::kPlp; }
-  void ResetXstats() { xstats_ = XftlStats{}; }
   // Id of the newest X-L2P snapshot known whole on flash: the one recovery
   // loaded, or a newer one written since (0 = none). xftl_fsck checks it
   // against its own derivation.

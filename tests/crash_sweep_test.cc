@@ -45,6 +45,7 @@
 #include <set>
 #include <string>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "sql/btree_check.h"
@@ -123,9 +124,11 @@ struct CrashOutcome {
 
 // Commits transactions first, first+1, ..., last until one fails. Each
 // inserts three related rows: ids 3t-2..3t, a = id * 7, b = "v<id>".
-// Returns the last acknowledged transaction (first - 1 if none).
-int64_t CommitUntilFailure(Database* db, int64_t first, int64_t last) {
-  int64_t acked = first - 1;
+// Sets `acked` to the last acknowledged transaction (first - 1 if none) and
+// returns the failure that stopped the loop (OK if every one committed).
+Status CommitUntilFailure(Database* db, int64_t first, int64_t last,
+                          int64_t* acked) {
+  *acked = first - 1;
   for (int64_t txn = first; txn <= last; ++txn) {
     std::string sql = "BEGIN;";
     for (int64_t r = 3 * txn - 2; r <= 3 * txn; ++r) {
@@ -133,10 +136,20 @@ int64_t CommitUntilFailure(Database* db, int64_t first, int64_t last) {
              std::to_string(r * 7) + ", 'v" + std::to_string(r) + "');";
     }
     sql += " COMMIT;";
-    if (!db->Exec(sql).ok()) break;
-    acked = txn;
+    Status s = db->Exec(sql).status();
+    if (!s.ok()) return s;
+    *acked = txn;
   }
-  return acked;
+  return Status::OK();
+}
+
+// A loop run toward an armed cut must stop at the cut. While the flash is
+// still alive the only acceptable failure is ResourceExhausted: the
+// NAND-fault rows may run out of good blocks or meta space first.
+void ExpectStoppedByCut(const Status& stop, const flash::FlashDevice& dev) {
+  if (stop.ok() || dev.HasFailed()) return;
+  EXPECT_EQ(stop.code(), StatusCode::kResourceExhausted)
+      << "a transaction failed before the armed cut: " << stop.ToString();
 }
 
 // Integrity, per-transaction atomicity and prefix ordering of table t, plus
@@ -232,10 +245,14 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
   // reuses crash_after_programs as the transaction count instead.
   const int64_t kMaxTxns =
       param.clean_cut ? int64_t(param.crash_after_programs) : 400;
-  const int64_t acked = CommitUntilFailure(db.get(), 1, kMaxTxns);
-  if (!param.clean_cut && acked == kMaxTxns) {
-    out->crashed = false;  // failure point beyond this workload
-    return;
+  int64_t acked = 0;
+  const Status stop = CommitUntilFailure(db.get(), 1, kMaxTxns, &acked);
+  if (!param.clean_cut) {
+    ExpectStoppedByCut(stop, *ssd.flash());
+    if (acked == kMaxTxns) {
+      out->crashed = false;  // failure point beyond this workload
+      return;
+    }
   }
 
   // Power-cycles and recovers the entire stack (the cut drops the volatile
@@ -264,13 +281,10 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
     }
     // Drop accounting: the cut discards exactly the unacknowledged suffix —
     // every NCQ tag in flight at power-off, no more, no less.
-    const storage::SataStats& sata_after = ssd.device()->stats();
-    EXPECT_EQ(
-        sata_after.dropped_on_power_cut - sata_before.dropped_on_power_cut,
-        inflight_at_cut);
-    EXPECT_GE(sata_after.dropped_pages_on_power_cut -
-                  sata_before.dropped_pages_on_power_cut,
-              inflight_at_cut);
+    const storage::SataStats dropped =
+        CounterDelta(ssd.device()->stats(), sata_before);
+    EXPECT_EQ(dropped.dropped_on_power_cut, inflight_at_cut);
+    EXPECT_GE(dropped.dropped_pages_on_power_cut, inflight_at_cut);
     EXPECT_EQ(ssd.device()->InflightCommands(), 0u);
     fs = std::move(fs::ExtFs::Mount(ssd.device(), fs_opt, &clock)).value();
     db = std::move(Database::Open(fs.get(), "sweep.db", db_opt)).value();
@@ -333,9 +347,11 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
     plan.seed = rng.Next();
     plan.persist_prob = param.persist_prob;
     ssd.flash()->ArmCrashPlan(plan);
-    const int64_t acked2 =
-        CommitUntilFailure(db.get(), survived + 1, survived + 400);
+    int64_t acked2 = 0;
+    const Status stop2 =
+        CommitUntilFailure(db.get(), survived + 1, survived + 400, &acked2);
     ASSERT_LT(acked2, survived + 400) << "second failure point never hit";
+    ExpectStoppedByCut(stop2, dev);
 
     // Only an open block the first boot resumed can gain pages without
     // being erased first; mount and open count as the second life too.

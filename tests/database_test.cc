@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "common/counters.h"
 #include "common/sim_clock.h"
 #include "sql/database.h"
 #include "storage/sim_ssd.h"
@@ -338,6 +339,10 @@ class ModeIoTest : public ::testing::Test {
     std::unique_ptr<storage::SimSsd> ssd;
     std::unique_ptr<fs::ExtFs> fs;
     std::unique_ptr<Database> db;
+    // Counters as RunWorkload's inserts begin.
+    PagerStats pager_base;
+    ftl::FtlStats ftl_base;
+    uint64_t fsync_base = 0;
   };
 
   static std::unique_ptr<Env> Make(SqlJournalMode mode) {
@@ -360,9 +365,9 @@ class ModeIoTest : public ::testing::Test {
   static void RunWorkload(Env* env) {
     CHECK(env->db->Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
               .ok());
-    env->fs->ResetStats();
-    env->db->pager()->ResetStats();
-    env->ssd->ftl()->ResetStats();
+    env->pager_base = env->db->pager()->stats();
+    env->ftl_base = env->ssd->ftl()->stats();
+    env->fsync_base = env->fs->stats().fsync_calls;
     for (int i = 1; i <= 30; ++i) {
       CHECK(env->db
                 ->Exec("INSERT INTO t VALUES (" + std::to_string(i) +
@@ -380,29 +385,37 @@ TEST_F(ModeIoTest, OffModeWritesFewerPagesThanJournalModes) {
   RunWorkload(wal.get());
   RunWorkload(off.get());
 
-  auto host_writes = [](Env* e) {
-    return e->db->pager()->stats().db_page_writes +
-           e->db->pager()->stats().journal_page_writes;
+  auto journal_writes = [](Env* e) {
+    return e->db->pager()->stats().journal_page_writes -
+           e->pager_base.journal_page_writes;
+  };
+  auto host_writes = [&](Env* e) {
+    return e->db->pager()->stats().db_page_writes -
+           e->pager_base.db_page_writes + journal_writes(e);
   };
   // Paper §4.3: X-FTL mode never writes a logical page more than once. At
   // the pager level WAL ties until a checkpoint doubles its writes, so the
   // strict comparison happens at the device level below.
   EXPECT_LE(host_writes(off.get()), host_writes(wal.get()));
   EXPECT_LT(host_writes(wal.get()), host_writes(rbj.get()));
-  EXPECT_EQ(off->db->pager()->stats().journal_page_writes, 0u);
+  EXPECT_EQ(journal_writes(off.get()), 0u);
 
   // Device-level physical page programs (WAL frames straddle flash pages;
   // the journal modes also pay file-system journaling).
   auto device_writes = [](Env* e) {
-    return e->ssd->ftl()->stats().TotalPageWrites();
+    return CounterDelta(e->ssd->ftl()->stats(), e->ftl_base)
+        .TotalPageWrites();
   };
   EXPECT_LT(device_writes(off.get()), device_writes(wal.get()));
   EXPECT_LT(device_writes(wal.get()), device_writes(rbj.get()));
 
   // fsync counts: rollback mode needs ~3 per txn, WAL 1, off-mode 1.
-  uint64_t rbj_fsyncs = rbj->fs->stats().fsync_calls;
-  uint64_t wal_fsyncs = wal->fs->stats().fsync_calls;
-  uint64_t off_fsyncs = off->fs->stats().fsync_calls;
+  auto fsyncs = [](Env* e) {
+    return e->fs->stats().fsync_calls - e->fsync_base;
+  };
+  uint64_t rbj_fsyncs = fsyncs(rbj.get());
+  uint64_t wal_fsyncs = fsyncs(wal.get());
+  uint64_t off_fsyncs = fsyncs(off.get());
   EXPECT_GT(rbj_fsyncs, 2 * wal_fsyncs);
   EXPECT_LE(off_fsyncs, wal_fsyncs);
 }

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "flash/flash_device.h"
@@ -480,7 +481,9 @@ TEST(PageFtlFaultTest, ExhaustedSparesDegradeToReadOnly) {
     // A write may fail only by running out of space, never by crashing or
     // surfacing a raw flash error (the write that trips the floor can itself
     // still succeed — degradation is re-evaluated mid-retirement).
-    if (!s.ok()) ASSERT_EQ(s.code(), StatusCode::kResourceExhausted);
+    if (!s.ok()) {
+      ASSERT_EQ(s.code(), StatusCode::kResourceExhausted);
+    }
   }
   ASSERT_TRUE(ftl.read_only());
   EXPECT_EQ(ftl.Write(0, buf.data()).code(), StatusCode::kResourceExhausted);
@@ -555,12 +558,12 @@ TEST(GcPolicyCompareTest, GreedyHasLowestWriteAmplification) {
     Rng rng(3);
     std::vector<uint8_t> buf(dev.config().page_size, 1);
     for (uint64_t i = 0; i < 400; ++i) CHECK(ftl.Write(i, buf.data()).ok());
-    ftl.ResetStats();
+    const FtlStats base = ftl.stats();
     for (uint64_t i = 0; i < 3000; ++i) {
       CHECK(ftl.Write(rng.Uniform(400), buf.data()).ok());
     }
-    return double(ftl.stats().TotalPageWrites()) /
-           double(ftl.stats().host_page_writes);
+    const FtlStats d = CounterDelta(ftl.stats(), base);
+    return double(d.TotalPageWrites()) / double(d.host_page_writes);
   };
   double greedy = run(GcPolicy::kGreedy);
   double fifo = run(GcPolicy::kFifo);

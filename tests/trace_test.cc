@@ -1,17 +1,16 @@
 // Trace subsystem: binary format round-trip, torn-tail tolerance, tracer
-// histograms/metrics, stats snapshots, and capture -> replay determinism.
+// histograms, counter sums and deltas, and capture -> replay determinism.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/counters.h"
 #include "common/sim_clock.h"
 #include "ftl/ftl_stats.h"
 #include "storage/sim_ssd.h"
-#include "trace/metrics_registry.h"
 #include "trace/replay.h"
-#include "trace/stats_adapter.h"
 #include "trace/trace_file.h"
 #include "trace/tracer.h"
 
@@ -206,33 +205,43 @@ TEST(TracerTest, RecoverEventCarriesScanSize) {
   }
   EXPECT_EQ(recovers, 1);
   EXPECT_EQ(splits, 1);
-  MetricsRegistry m;
-  AbsorbFlashStats(&m, dev.stats());
-  EXPECT_EQ(m.Get("flash.oob_reads"), meta_pages + data_blocks);
+  EXPECT_EQ(dev.stats().oob_reads, meta_pages + data_blocks);
 }
 
-TEST(MetricsRegistryTest, SetAddGetAndJson) {
-  MetricsRegistry m;
-  m.Set("b", 2);
-  m.Add("a", 1);
-  m.Add("a", 4);
-  EXPECT_EQ(m.Get("a"), 5u);
-  EXPECT_EQ(m.Get("b"), 2u);
-  EXPECT_EQ(m.Get("missing"), 0u);
-  EXPECT_EQ(m.ToJson(), "{\"a\":5,\"b\":2}");  // sorted keys
+// Sets counter i of two snapshots to 1000 * (i + 1) and i + 1, so every
+// field of their sum and of their delta differs from every other field.
+template <typename S>
+void ExpectSumAndDeltaFieldwise() {
+  S now, base;
+  for (size_t i = 0; i < S::kCounters.size(); ++i) {
+    now.*S::kCounters[i] = 1000 * (i + 1);
+    base.*S::kCounters[i] = i + 1;
+  }
+  S sum = now;
+  AddCounters(&sum, base);
+  const S delta = CounterDelta(now, base);
+  for (size_t i = 0; i < S::kCounters.size(); ++i) {
+    EXPECT_EQ(sum.*S::kCounters[i], 1001 * (i + 1)) << "field " << i;
+    EXPECT_EQ(delta.*S::kCounters[i], 999 * (i + 1)) << "field " << i;
+  }
 }
 
-TEST(StatsAdapterTest, AbsorbsFtlCounters) {
+TEST(CountersTest, SumAndDeltaCoverEveryField) {
+  ExpectSumAndDeltaFieldwise<ftl::FtlStats>();
+  ExpectSumAndDeltaFieldwise<storage::SataStats>();
+  ExpectSumAndDeltaFieldwise<flash::FlashStats>();
+}
+
+TEST(CountersTest, FtlTotalsCountTable1Columns) {
   ftl::FtlStats s;
   s.host_page_writes = 10;
   s.gc_copyback_writes = 4;
   s.meta_page_writes = 2;
+  s.retire_relocations = 1;
   s.host_page_reads = 7;
-  MetricsRegistry m;
-  AbsorbFtlStats(&m, s);
-  EXPECT_EQ(m.Get("ftl.host_page_writes"), 10u);
-  EXPECT_EQ(m.Get("ftl.total_page_writes"), 16u);
-  EXPECT_EQ(m.Get("ftl.total_page_reads"), 7u);
+  s.gc_copyback_reads = 3;
+  EXPECT_EQ(s.TotalPageWrites(), 17u);
+  EXPECT_EQ(s.TotalPageReads(), 10u);
 }
 
 TEST(FtlStatsTest, DeltaSubtractsFieldwise) {

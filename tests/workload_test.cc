@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/counters.h"
 #include "workload/android.h"
 #include "workload/fio.h"
 #include "workload/harness.h"
@@ -49,7 +52,7 @@ TEST_P(HarnessTest, SnapshotCountsActivity) {
   }
   IoSnapshot s = h.Snapshot();
   EXPECT_GT(s.fsync_calls, 0u);
-  EXPECT_GT(s.ftl_page_writes, 0u);
+  EXPECT_GT(s.ftl.TotalPageWrites(), 0u);
   EXPECT_GT(s.elapsed, 0u);
 }
 
@@ -76,6 +79,65 @@ INSTANTIATE_TEST_SUITE_P(AllSetups, HarnessTest,
                          [](const auto& info) {
                            return std::string(SetupName(info.param)) ==
                                           "X-FTL"
+                                      ? std::string("XFTL")
+                                      : std::string(SetupName(info.param));
+                         });
+
+// Over a striped array the snapshot is array-wide: each per-layer delta is
+// the sum of the members' own deltas over the interval.
+template <typename S>
+void ExpectSameCounters(const S& got, const S& want) {
+  for (size_t i = 0; i < S::kCounters.size(); ++i) {
+    EXPECT_EQ(got.*S::kCounters[i], want.*S::kCounters[i]) << "field " << i;
+  }
+}
+
+class HarnessArrayTest : public ::testing::TestWithParam<Setup> {};
+
+TEST_P(HarnessArrayTest, SnapshotSumsMemberDeltas) {
+  HarnessConfig cfg = SmallConfig(GetParam());
+  cfg.num_devices = 2;
+  cfg.stripe_pages = 4;
+  Harness h(cfg);
+  ASSERT_TRUE(h.Setup().ok());
+  auto db = h.OpenDatabase("x.db").value();
+  ASSERT_TRUE(db->Exec("CREATE TABLE t (a INT, b TEXT)").ok());
+  std::vector<ftl::FtlStats> ftl0;
+  std::vector<storage::SataStats> sata0;
+  std::vector<flash::FlashStats> flash0;
+  for (uint32_t i = 0; i < h.num_devices(); ++i) {
+    ftl0.push_back(h.ssd(i)->ftl()->stats());
+    sata0.push_back(h.ssd(i)->device()->stats());
+    flash0.push_back(h.ssd(i)->flash()->stats());
+  }
+  h.StartMeasurement();
+  // Rows wide enough that the table spans several stripes.
+  const std::string pad(300, 'x');
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db->Exec("INSERT INTO t VALUES (" + std::to_string(i) +
+                         ", '" + pad + "')")
+                    .ok());
+  }
+  IoSnapshot s = h.Snapshot();
+  ftl::FtlStats ftl;
+  storage::SataStats sata;
+  flash::FlashStats flash;
+  for (uint32_t i = 0; i < h.num_devices(); ++i) {
+    const ftl::FtlStats d = CounterDelta(h.ssd(i)->ftl()->stats(), ftl0[i]);
+    EXPECT_GT(d.host_page_writes, 0u) << "member " << i;
+    AddCounters(&ftl, d);
+    AddCounters(&sata, CounterDelta(h.ssd(i)->device()->stats(), sata0[i]));
+    AddCounters(&flash, CounterDelta(h.ssd(i)->flash()->stats(), flash0[i]));
+  }
+  ExpectSameCounters(s.ftl, ftl);
+  ExpectSameCounters(s.sata, sata);
+  ExpectSameCounters(s.flash, flash);
+}
+
+INSTANTIATE_TEST_SUITE_P(XftlAndWal, HarnessArrayTest,
+                         ::testing::Values(Setup::kXftl, Setup::kWal),
+                         [](const auto& info) {
+                           return info.param == Setup::kXftl
                                       ? std::string("XFTL")
                                       : std::string(SetupName(info.param));
                          });
