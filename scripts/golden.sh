@@ -32,6 +32,9 @@ RUNS=(
   "ablation_reliability|bench/ablation_reliability --json"
   "ablation_xftl|bench/ablation_xftl"
   "bench_host|bench/bench_host --json"
+  "bench_host_barrier_rbj|bench/bench_host --devices=2 --sessions=8 --commit=barrier --setup=rbj --json"
+  "bench_host_barrier_wal|bench/bench_host --devices=4 --sessions=8 --commit=barrier --setup=wal --json"
+  "bench_host_barrier_xftl|bench/bench_host --devices=2 --sessions=8 --commit=barrier --profile=openssd --json"
   "bench_mvcc|bench/bench_mvcc --json"
   "fig5_synthetic|bench/fig5_synthetic --quick --json"
   "fig6_gc_activity|bench/fig6_gc_activity --json"
