@@ -82,7 +82,7 @@ double RunTpccCell(Setup setup, ftl::CommitMode commit, uint64_t txns,
   cfg.device_blocks = 256;
   cfg.db_cache_pages = 64;
   cfg.fs_cache_pages = 128;
-  cfg.commit_mode = int(commit);
+  cfg.commit_mode = commit;
   Harness h(cfg);
   CHECK(h.Setup().ok());
   auto* db = h.OpenDatabase("tpcc.db").value();

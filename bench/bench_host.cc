@@ -104,11 +104,11 @@ int Run(int argc, char** argv) {
     hc.cpu_per_statement = Micros(uint64_t(cpu_us));
     hc.seed = 42;
     if (commit == "drain") {
-      hc.commit_mode = int(ftl::CommitMode::kDrain);
+      hc.commit_mode = ftl::CommitMode::kDrain;
     } else if (commit == "barrier") {
-      hc.commit_mode = int(ftl::CommitMode::kBarrier);
+      hc.commit_mode = ftl::CommitMode::kBarrier;
     } else if (commit == "plp") {
-      hc.commit_mode = int(ftl::CommitMode::kPlp);
+      hc.commit_mode = ftl::CommitMode::kPlp;
     } else if (!commit.empty()) {
       std::fprintf(stderr, "--commit must be drain, barrier or plp\n");
       return 1;

@@ -714,7 +714,7 @@ storage::TxId ExtFs::TidFor(Ino ino) {
   return tid;
 }
 
-Status ExtFs::SyncFile(Fd fd, bool datasync, bool ordered) {
+Status ExtFs::SyncFile(Fd fd, bool datasync) {
   SimNanos t0 = clock_->Now();
   ChargeSyscall();
   if (fd < 0 || size_t(fd) >= open_files_.size() || !open_files_[fd].valid) {
@@ -722,25 +722,20 @@ Status ExtFs::SyncFile(Fd fd, bool datasync, bool ordered) {
   }
   stats_.fsync_calls++;
   Ino ino = open_files_[fd].ino;
-  Status s = CommitDirty(ino, datasync, ordered);
+  Status s = CommitDirty(ino, datasync);
   if (tracer_ != nullptr) {
     tracer_->Record(trace::Layer::kFs, trace::Op::kFsync, t0,
-                    static_cast<uint32_t>(ino),
-                    (datasync ? 1 : 0) | (ordered ? 2 : 0), 0,
+                    static_cast<uint32_t>(ino), datasync ? 1 : 0, 0,
                     clock_->Now() - t0, s.code());
   }
   return s;
 }
 
-Status ExtFs::Fsync(Fd fd) { return SyncFile(fd, false, false); }
+Status ExtFs::Fsync(Fd fd) { return SyncFile(fd, false); }
 
-Status ExtFs::Fdatasync(Fd fd) { return SyncFile(fd, true, false); }
+Status ExtFs::Fdatasync(Fd fd) { return SyncFile(fd, true); }
 
-Status ExtFs::Fbarrier(Fd fd) { return SyncFile(fd, false, true); }
-
-Status ExtFs::Fdatabarrier(Fd fd) { return SyncFile(fd, true, true); }
-
-Status ExtFs::CommitDirty(Ino ino, bool datasync, bool ordered) {
+Status ExtFs::CommitDirty(Ino ino, bool datasync) {
   // Collect the dirty set. Ordered/full journaling flushes all dirty data
   // (JBD's shared running transaction); off mode commits this file's data -
   // plus every linked file's - and all dirty metadata, under the shared
@@ -837,13 +832,13 @@ Status ExtFs::CommitDirty(Ino ino, bool datasync, bool ordered) {
         }
       }
       if (meta_entries.empty()) {
-        XFTL_RETURN_IF_ERROR(ordered ? dev_->Barrier() : dev_->FlushBarrier());
+        XFTL_RETURN_IF_ERROR(dev_->FlushBarrier());
         return RunPendingTrims();
       }
       std::vector<std::pair<uint64_t, const uint8_t*>> txn;
       txn.reserve(meta_entries.size());
       for (auto* e : meta_entries) txn.emplace_back(e->page, e->data.data());
-      XFTL_RETURN_IF_ERROR(journal_->CommitTransaction(txn, ordered));
+      XFTL_RETURN_IF_ERROR(journal_->CommitTransaction(txn));
       // Checkpoint: metadata to home locations (made durable by the next
       // transaction's first barrier).
       {
@@ -866,7 +861,7 @@ Status ExtFs::CommitDirty(Ino ino, bool datasync, bool ordered) {
     }
     case JournalMode::kFull: {
       if (data_entries.empty() && meta_entries.empty()) {
-        XFTL_RETURN_IF_ERROR(ordered ? dev_->Barrier() : dev_->FlushBarrier());
+        XFTL_RETURN_IF_ERROR(dev_->FlushBarrier());
         return RunPendingTrims();
       }
       // Both data and metadata go through the journal: every page is
@@ -875,7 +870,7 @@ Status ExtFs::CommitDirty(Ino ino, bool datasync, bool ordered) {
       txn.reserve(data_entries.size() + meta_entries.size());
       for (auto* e : data_entries) txn.emplace_back(e->page, e->data.data());
       for (auto* e : meta_entries) txn.emplace_back(e->page, e->data.data());
-      XFTL_RETURN_IF_ERROR(journal_->CommitTransaction(txn, ordered));
+      XFTL_RETURN_IF_ERROR(journal_->CommitTransaction(txn));
       // Checkpoint everything in place as one queued batch.
       {
         std::vector<uint64_t> cp;
@@ -1091,13 +1086,13 @@ Status ExtFs::SyncAll() {
     // metadata under a fresh transaction.
     std::vector<Ino> inos;
     for (const auto& [ino, tid] : active_tid_) inos.push_back(ino);
-    for (Ino ino : inos) XFTL_RETURN_IF_ERROR(CommitDirty(ino, false, false));
+    for (Ino ino : inos) XFTL_RETURN_IF_ERROR(CommitDirty(ino, false));
     bool any_dirty = false;
     cache_->ForEachDirty([&](BufferCache::Entry*) { any_dirty = true; });
-    if (any_dirty) XFTL_RETURN_IF_ERROR(CommitDirty(kRootIno, false, false));
+    if (any_dirty) XFTL_RETURN_IF_ERROR(CommitDirty(kRootIno, false));
     return Status::OK();
   }
-  XFTL_RETURN_IF_ERROR(CommitDirty(kRootIno, false, false));
+  XFTL_RETURN_IF_ERROR(CommitDirty(kRootIno, false));
   return dev_->FlushBarrier();
 }
 

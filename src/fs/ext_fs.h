@@ -120,17 +120,6 @@ class ExtFs {
   // write set on the pages the transaction actually touched.
   Status Fdatasync(Fd fd);
 
-  // fbarrier / fdatabarrier: the order-preserving siblings of fsync and
-  // fdatasync. The file's dirty state is committed through the same path,
-  // but every durability point goes down as an ordered device barrier
-  // instead of a flush: later writes cannot overtake the commit, yet the
-  // commit may still be in flight when the call returns (epoch-prefix
-  // durability — a power cut can lose the acked tail, never reorder it).
-  // On devices without ordered-command support these degenerate to
-  // Fsync/Fdatasync.
-  Status Fbarrier(Fd fd);
-  Status Fdatabarrier(Fd fd);
-
   // The paper's new ioctl request: aborts the file's open transaction,
   // dropping cached dirty pages and rolling back stolen ones in the device.
   Status IoctlAbort(Fd fd);
@@ -219,12 +208,11 @@ class ExtFs {
 
   // --- transactions / durability ------------------------------------------
   storage::TxId TidFor(Ino ino);
-  // Shared entry of the four sync flavors: fd validation, syscall charge,
-  // commit, and the kFsync trace event (`b` = datasync bit | ordered<<1).
-  Status SyncFile(Fd fd, bool datasync, bool ordered);
-  // The fsync work for one file; datasync defers timestamp-only metadata,
-  // ordered swaps every flush for an order-preserving barrier.
-  Status CommitDirty(Ino ino, bool datasync, bool ordered);
+  // Shared entry of the two sync flavors: fd validation, syscall charge,
+  // commit, and the kFsync trace event (`b` = datasync bit).
+  Status SyncFile(Fd fd, bool datasync);
+  // The fsync work for one file; datasync defers timestamp-only metadata.
+  Status CommitDirty(Ino ino, bool datasync);
   Status RunPendingTrims();
   Status WritebackForEviction(uint64_t page, const uint8_t* data,
                               storage::TxId tid);

@@ -14,23 +14,20 @@ Journal::Journal(storage::BlockDevice* dev, uint32_t start, uint32_t pages)
 }
 
 Status Journal::CommitTransaction(
-    const std::vector<std::pair<uint64_t, const uint8_t*>>& pages,
-    bool ordered) {
+    const std::vector<std::pair<uint64_t, const uint8_t*>>& pages) {
   if (pages.empty()) return Status::OK();
   if (pages.size() > capacity()) {
     return Status::ResourceExhausted("journal transaction too large");
   }
   const uint32_t page_size = dev_->page_size();
-  auto barrier = [&] {
-    return ordered ? dev_->Barrier() : dev_->FlushBarrier();
-  };
 
   // Barrier 1: everything written before (in-place data, the previous
   // transaction's checkpoint writes) must be ordered ahead of this journal
-  // write, which overwrites the previous transaction. Under epoch-prefix
-  // durability the ordered variant suffices: if this descriptor survives a
-  // cut, everything before barrier 1 survived too.
-  XFTL_RETURN_IF_ERROR(barrier());
+  // write, which overwrites the previous transaction. Barrier firmware
+  // serves it order-only, which suffices under epoch-prefix durability: if
+  // this descriptor survives a cut, everything before barrier 1 survived
+  // too.
+  XFTL_RETURN_IF_ERROR(dev_->FlushBarrier());
 
   // Descriptor.
   std::vector<uint8_t> buf(page_size, 0);
@@ -73,9 +70,9 @@ Status Journal::CommitTransaction(
   XFTL_RETURN_IF_ERROR(dev_->Write(jp, buf.data()));
   stats_.journal_page_writes++;
 
-  // Barrier 2: the commit record is durable (ordered ahead of the
-  // checkpoint writes, in the ordered flavor); checkpointing may begin.
-  XFTL_RETURN_IF_ERROR(barrier());
+  // Barrier 2: the commit record is durable (on barrier firmware: ordered
+  // ahead of the checkpoint writes); checkpointing may begin.
+  XFTL_RETURN_IF_ERROR(dev_->FlushBarrier());
   stats_.commits++;
   return Status::OK();
 }

@@ -34,16 +34,14 @@ class Journal {
   // Maximum pages a single transaction may carry.
   uint32_t capacity() const { return pages_ - 2; }
 
-  // Journals `pages` ({home page number, contents}) with full barriers.
-  // After this returns, the transaction is durable; the caller then writes
-  // the pages to their home locations (checkpointing). With `ordered` the
-  // two barriers are issued as order-preserving device barriers instead of
-  // flushes: the commit is ordered but possibly still in flight on return
-  // (epoch-prefix durability) — on devices without ordered-command support
-  // Barrier() falls back to a flush and nothing changes.
+  // Journals `pages` ({home page number, contents}) between two device
+  // FlushBarriers. After this returns, the transaction is durable; the
+  // caller then writes the pages to their home locations (checkpointing).
+  // On barrier firmware the device serves both barriers order-only: the
+  // commit is ordered but possibly still in flight on return (epoch-prefix
+  // durability).
   Status CommitTransaction(
-      const std::vector<std::pair<uint64_t, const uint8_t*>>& pages,
-      bool ordered = false);
+      const std::vector<std::pair<uint64_t, const uint8_t*>>& pages);
 
   // Mount-time scan: if a complete transaction is present, replays it to the
   // home locations. Idempotent.

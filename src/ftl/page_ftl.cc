@@ -173,7 +173,8 @@ Status PageFtl::Barrier() {
   // persisted here — durability of the mapping is the OOB roll-forward
   // scan's job (same recovery contract as fast_barrier firmware), and the
   // epoch fence guarantees earlier data programs land before later ones.
-  if (config_.commit_mode != CommitMode::kBarrier) return Flush();
+  // Only barrier firmware issues it: every other mode flushes instead.
+  DCHECK(config_.commit_mode == CommitMode::kBarrier);
   XFTL_RETURN_IF_ERROR(CheckWritable());
   SimNanos t0 = device_->clock()->Now();
   device_->AdvanceEpoch();

@@ -152,7 +152,7 @@ class PageFtl {
   Status Flush();
   // Order-preserving barrier: all pages written before it are programmed
   // before any page written after it, without waiting for completion.
-  // Outside CommitMode::kBarrier it falls back to a full Flush().
+  // CommitMode::kBarrier only: it is how that firmware serves a FLUSH.
   Status Barrier();
   // The firmware's durability-point discipline (see CommitMode).
   CommitMode commit_mode() const { return config_.commit_mode; }

@@ -91,11 +91,6 @@ class Session {
   const Histogram& latency() const { return latency_; }
 
   sql::Database* db() { return db_; }
-  // Crash handling: forget the connection (the database object is being
-  // abandoned by its owner); the committed/dispatched counts survive for
-  // post-recovery verification.
-  void DetachDb() { db_ = nullptr; }
-  void AttachDb(sql::Database* db) { db_ = db; }
 
   // Post-recovery ACID check, crash-sweep style, against a REOPENED
   // database: integrity (a = id*7, b = "v<id>"), atomicity (whole
@@ -106,9 +101,6 @@ class Session {
                                             uint32_t rows_per_txn,
                                             uint64_t acked);
 
-  // Rows the last successful read-only dispatch saw (read_only sessions).
-  uint64_t rows_seen() const { return rows_seen_; }
-
  private:
   // One read-only dispatch: BEGIN READONLY + full-scan + verify + COMMIT.
   Status RunReadTxn();
@@ -117,6 +109,8 @@ class Session {
   Rng rng_;
   uint64_t dispatched_ = 0;
   uint64_t committed_ = 0;
+  // Rows the last successful read-only dispatch saw; a later snapshot that
+  // sees fewer went backwards.
   uint64_t rows_seen_ = 0;
   Histogram latency_;
 };

@@ -20,7 +20,7 @@ StripedVolume::StripedVolume(const VolumeConfig& config, SimClock* clock)
     members_.push_back(std::make_unique<storage::SimSsd>(spec, clock));
   }
   powered_.assign(config.num_devices, true);
-  // The commit disciplines below (Barrier's completion-wait fallback,
+  // The commit disciplines below (FlushBarrier's completion-wait rule,
   // TxCommit's barrier-mode compensation) read member 0's firmware mode and
   // apply it array-wide; a mixed-firmware array would silently get the
   // wrong discipline on some members, so homogeneity is enforced here.
@@ -121,32 +121,23 @@ Status StripedVolume::Trim(uint64_t page) {
 }
 
 Status StripedVolume::FlushBarrier() {
-  // Every online member must drain: a barrier is an array-wide durability
+  // Every online member takes the barrier: it is an array-wide durability
   // point. All are visited even after a failure so the survivors still
   // reach their barrier (and surface their own deferred errors). A write
   // lost against an offline member surfaces here via the volume latch.
-  Status first = TakeDeferredError();
-  for (uint32_t dev = 0; dev < members_.size(); ++dev) {
-    if (!powered_[dev]) continue;
-    Status s = members_[dev]->device()->FlushBarrier();
-    if (!s.ok() && first.ok()) first = s;
-  }
-  return first;
-}
-
-Status StripedVolume::Barrier() {
+  //
   // Epoch-prefix durability is a PER-MEMBER promise: with several members,
   // order-only barriers cannot stop member A from persisting a later-epoch
   // write while member B loses an earlier one, and a cut in that window
-  // tears exactly the cross-member orderings the barrier-commit callers
-  // rely on (checkpoint before journal overwrite, commit record before
-  // checkpoint, SQL journal before db pages). Until a cross-member epoch
-  // protocol exists, a multi-member array serves Barrier() with
-  // completion-wait semantics on barrier firmware; a single member keeps
-  // the order-only fast path. kDrain members already completion-wait via
-  // the FlushBarrier fallback and kPlp members lose nothing at a cut, so
-  // only kBarrier firmware needs the stronger verb (commit modes are
-  // homogeneous across members — checked at construction).
+  // tears exactly the cross-member orderings the fsync callers rely on
+  // (checkpoint before journal overwrite, commit record before checkpoint,
+  // SQL journal before db pages). Until a cross-member epoch protocol
+  // exists, a multi-member array completion-waits every member on barrier
+  // firmware; a single member keeps the order-only fast path. kDrain
+  // members already completion-wait in FlushBarrier and kPlp members lose
+  // nothing at a cut, so only kBarrier firmware needs the stronger verb
+  // (commit modes are homogeneous across members — checked at
+  // construction).
   const bool completion_wait =
       members_.size() > 1 &&
       members_[0]->device()->commit_mode() == ftl::CommitMode::kBarrier;
@@ -154,7 +145,7 @@ Status StripedVolume::Barrier() {
   for (uint32_t dev = 0; dev < members_.size(); ++dev) {
     if (!powered_[dev]) continue;
     Status s = completion_wait ? members_[dev]->device()->AwaitDurable()
-                               : members_[dev]->device()->Barrier();
+                               : members_[dev]->device()->FlushBarrier();
     if (!s.ok() && first.ok()) first = s;
   }
   return first;
@@ -572,8 +563,8 @@ Status StripedVolume::ResolveInDoubtArray() {
   bool all_online = !Degraded();
   for (uint32_t dev = 0; dev < members_.size(); ++dev) {
     if (rolled_forward[dev]) {
-      // Completion-wait regardless of commit mode: with barrier firmware an
-      // ordinary FlushBarrier is order-only, which is not enough here.
+      // Completion-wait regardless of commit mode: with barrier firmware a
+      // member's FlushBarrier is order-only, which is not enough here.
       Status s = members_[dev]->device()->AwaitDurable();
       if (!s.ok() && first.ok()) first = s;
     }

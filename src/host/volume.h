@@ -113,15 +113,13 @@ class StripedVolume : public storage::TxBlockDevice {
                     size_t n, size_t* accepted = nullptr) override;
   Status Trim(uint64_t page) override;
   // Durability barrier across the online members; reports (and clears) the
-  // volume's deferred error from writes that hit an offline member.
+  // volume's deferred error from writes that hit an offline member. Each
+  // member's FlushBarrier decides its own meaning (order-only on barrier
+  // firmware), except that with several barrier-firmware members the epochs
+  // cannot order writes ACROSS members, so the volume completion-waits
+  // (AwaitDurable per member) to keep the cross-member orderings the fsync
+  // paths depend on.
   Status FlushBarrier() override;
-  // Order-preserving barrier fan-out. A single member opens a new epoch
-  // without draining; with several members, barrier-firmware epochs cannot
-  // order writes ACROSS members, so the volume falls back to
-  // completion-wait (AwaitDurable per member) to keep the cross-member
-  // orderings the barrier-commit paths depend on. Same deferred-error
-  // reporting as FlushBarrier.
-  Status Barrier() override;
 
   // --- TxBlockDevice -------------------------------------------------------
   bool SupportsTransactions() const override;

@@ -10,7 +10,6 @@ StatusOr<std::unique_ptr<Database>> Database::Open(fs::ExtFs* fs,
   pager_options.cache_pages = options.cache_pages;
   pager_options.wal_autocheckpoint = options.wal_autocheckpoint;
   pager_options.read_only = options.read_only;
-  pager_options.barrier_commit = options.barrier_commit;
   XFTL_ASSIGN_OR_RETURN(auto pager, Pager::Open(fs, path, pager_options));
   auto db = std::unique_ptr<Database>(
       new Database(std::move(pager), options));

@@ -23,10 +23,6 @@ struct DbOptions {
   // Read-only connection onto another connection's live database file (see
   // PagerOptions::read_only): only BEGIN READONLY transactions run.
   bool read_only = false;
-  // Commit through order-preserving barriers instead of fsync (see
-  // PagerOptions::barrier_commit): atomicity unchanged, durability relaxed
-  // to epoch-prefix.
-  bool barrier_commit = false;
   // Host CPU-time model: parsing/planning cost per statement and row-visit
   // cost during execution, charged to the simulation clock. Calibrated so
   // cache-resident read workloads land near SQLite's throughput on the

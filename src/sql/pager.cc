@@ -411,9 +411,6 @@ Status Pager::Free(Pgno pgno) {
 }
 
 Status Pager::SyncFd(fs::Fd fd, bool datasync) {
-  if (options_.barrier_commit) {
-    return datasync ? fs_->Fdatabarrier(fd) : fs_->Fbarrier(fd);
-  }
   return datasync ? fs_->Fdatasync(fd) : fs_->Fsync(fd);
 }
 

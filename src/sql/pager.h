@@ -54,14 +54,6 @@ struct PagerOptions {
   // This is what a reader connection onto another connection's live database
   // file must use: two writers on one file are unsupported.
   bool read_only = false;
-  // Commit through order-preserving barriers (ExtFs::Fbarrier /
-  // Fdatabarrier) instead of fsync, in every journal mode. Atomicity is
-  // unchanged — the sync ordering each mode relies on still holds under
-  // epoch-prefix durability — but an acknowledged commit may be lost
-  // wholesale by a power cut (relaxed durability, as in the
-  // barrier-enabled I/O stack). No-op on devices without ordered-command
-  // support.
-  bool barrier_commit = false;
 };
 
 struct PagerStats {
@@ -148,8 +140,6 @@ class Pager {
   Status Rollback();
   bool in_transaction() const { return in_txn_ || read_txn_; }
   bool in_read_transaction() const { return read_txn_; }
-  // True while a device snapshot epoch is pinned (kOff read transaction).
-  bool snapshot_pinned() const { return snap_pinned_; }
 
   // --- page access ---------------------------------------------------------
   StatusOr<PageRef> Get(Pgno pgno);
@@ -209,8 +199,7 @@ class Pager {
   Status ReadPageFromFiles(Pgno pgno, uint8_t* out);
   Status WritePageToDb(Pgno pgno, const uint8_t* data);
 
-  // The commit path's durability point: fsync/fdatasync, or their ordered
-  // siblings under barrier_commit.
+  // The commit path's durability point: fsync, or fdatasync.
   Status SyncFd(fs::Fd fd, bool datasync);
 
   // --- rollback journal (kDelete) ------------------------------------------

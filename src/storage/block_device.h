@@ -34,13 +34,15 @@ class BlockDevice {
   virtual Status WriteBatch(const uint64_t* pages, const uint8_t* const* datas,
                             size_t n, size_t* accepted = nullptr) = 0;
   virtual Status Trim(uint64_t page) = 0;
-  // Durability barrier: all previously acknowledged writes (and the device's
-  // mapping metadata) are persistent when this returns.
+  // The host's one durability verb (fsync's device flush). The device
+  // decides what it means: all previously acknowledged writes (and the
+  // device's mapping metadata) are persistent when this returns — except on
+  // barrier firmware (ftl::CommitMode::kBarrier), which serves it
+  // order-only: writes before it reach the medium before any write after
+  // it, but need not have reached it on return (epoch-prefix durability).
   virtual Status FlushBarrier() = 0;
-  // Order-preserving barrier: writes before it reach the medium before any
-  // write after it, but need not have reached it when this returns
-  // (epoch-prefix durability). Devices without ordered-command support fall
-  // back to the full FlushBarrier.
+  // Same as FlushBarrier. Nothing in the stack calls it; it stays only
+  // because the standalone benchmark (benchmark/boundary.h) overrides it.
   virtual Status Barrier() { return FlushBarrier(); }
 };
 

@@ -472,12 +472,11 @@ void SataDevice::RecoverQueue(uint64_t failed_tag) {
 
 // --- command set -----------------------------------------------------------
 
-Status SataDevice::LinkRead(TxId t, uint64_t page, uint8_t* data) {
+template <typename DeviceRead>
+Status SataDevice::LinkRead(TxId t, uint64_t page, const DeviceRead& read) {
   for (uint32_t attempt = 0;; ++attempt) {
     ChargeCommand(true);
-    Status s = (t == ftl::kNoTx || xftl_ == nullptr)
-                   ? ftl_->Read(page, data)
-                   : xftl_->TxRead(t, page, data);
+    Status s = read();
     if (!s.ok()) return s;         // device-side error, not a link problem
     if (!TransferFaults()) return s;  // data crossed intact
     stats_.crc_errors++;
@@ -497,7 +496,8 @@ Status SataDevice::LinkRead(TxId t, uint64_t page, uint8_t* data) {
 Status SataDevice::Read(uint64_t page, uint8_t* data) {
   SimNanos t0 = clock_->Now();
   stats_.read_commands++;
-  Status s = LinkRead(ftl::kNoTx, page, data);
+  Status s =
+      LinkRead(ftl::kNoTx, page, [&] { return ftl_->Read(page, data); });
   Note(trace::Op::kRead, t0, ftl::kNoTx, page, s.code());
   return s;
 }
@@ -528,21 +528,9 @@ Status SataDevice::FlushBarrier() {
   // kBarrier firmware serves FLUSH order-only: the fsync path is the whole
   // point of the barrier rework, and callers that truly need completion-wait
   // semantics use AwaitDurable().
-  if (ftl_->commit_mode() == ftl::CommitMode::kBarrier) return Barrier();
-  SimNanos t0 = clock_->Now();
-  DrainQueue();
-  ChargeCommand(false);
-  stats_.barrier_commands++;
-  // errseq semantics: a queued write lost in the background fails the next
-  // barrier, so the host learns about it before trusting durability.
-  Status s = TakeDeferredError();
-  if (s.ok()) s = ftl_->Flush();
-  Note(trace::Op::kFlush, t0, ftl::kNoTx, 0, s.code());
-  return s;
-}
-
-Status SataDevice::Barrier() {
-  if (ftl_->commit_mode() != ftl::CommitMode::kBarrier) return FlushBarrier();
+  if (ftl_->commit_mode() != ftl::CommitMode::kBarrier) {
+    return DrainAndFlush(/*await_durable=*/false);
+  }
   SimNanos t0 = clock_->Now();
   // No drain: polling retires what already finished and discovers faults,
   // but queued programs keep running behind the epoch fence.
@@ -559,14 +547,20 @@ Status SataDevice::Barrier() {
 }
 
 Status SataDevice::AwaitDurable() {
+  return DrainAndFlush(/*await_durable=*/true);
+}
+
+Status SataDevice::DrainAndFlush(bool await_durable) {
   SimNanos t0 = clock_->Now();
   DrainQueue();
   ChargeCommand(false);
   stats_.barrier_commands++;
+  // errseq semantics: a queued write lost in the background fails the next
+  // barrier, so the host learns about it before trusting durability.
   Status s = TakeDeferredError();
   if (s.ok()) s = ftl_->Flush();
   // `a` = 1 marks the completion-wait flavor in the trace stream.
-  Note(trace::Op::kFlush, t0, ftl::kNoTx, 1, s.code());
+  Note(trace::Op::kFlush, t0, ftl::kNoTx, await_durable ? 1 : 0, s.code());
   return s;
 }
 
@@ -574,7 +568,10 @@ Status SataDevice::TxRead(TxId t, uint64_t page, uint8_t* data) {
   if (xftl_ == nullptr) return Read(page, data);
   SimNanos t0 = clock_->Now();
   stats_.read_commands++;
-  Status s = LinkRead(t, page, data);
+  Status s = LinkRead(t, page, [&] {
+    return t == ftl::kNoTx ? ftl_->Read(page, data)
+                           : xftl_->TxRead(t, page, data);
+  });
   Note(trace::Op::kTxRead, t0, t, page, s.code());
   return s;
 }
@@ -718,31 +715,14 @@ Status SataDevice::SnapRead(uint64_t epoch, uint64_t page, uint8_t* data) {
   if (xftl_ == nullptr) {
     return Status::NotSupported("snapshot read on a non-transactional device");
   }
-  // Synchronous like every read, with the same CRC retransfer policy as
-  // LinkRead; the epoch rides in the command's parameter set.
+  // Synchronous like every read, with the same CRC retransfer policy; the
+  // epoch rides in the command's parameter set.
   SimNanos t0 = clock_->Now();
   stats_.read_commands++;
   stats_.snap_read_commands++;
-  Status s;
-  for (uint32_t attempt = 0;; ++attempt) {
-    ChargeCommand(true);
-    s = xftl_->SnapshotRead(epoch, page, data);
-    if (!s.ok()) break;              // device-side error, not a link problem
-    if (!TransferFaults()) break;    // data crossed intact
-    stats_.crc_errors++;
-    SimNanos f0 = clock_->Now();
-    if (attempt >= policy_.max_retries) {
-      Note(trace::Op::kLinkFault, f0, ftl::kNoTx, page, StatusCode::kIoError,
-           kCrc);
-      s = Status::IoError("SATA link: read CRC retries exhausted");
-      break;
-    }
-    SimNanos backoff = policy_.backoff_base << attempt;
-    clock_->Advance(backoff);
-    stats_.backoff_nanos += backoff;
-    stats_.link_retries++;
-    Note(trace::Op::kLinkFault, f0, ftl::kNoTx, page, StatusCode::kOk, kCrc);
-  }
+  Status s = LinkRead(ftl::kNoTx, page, [&] {
+    return xftl_->SnapshotRead(epoch, page, data);
+  });
   Note(trace::Op::kSnapRead, t0, ftl::kNoTx, page, s.code(), epoch);
   return s;
 }

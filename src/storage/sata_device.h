@@ -41,15 +41,17 @@
 // lost in the background: it latches an errseq-style deferred error that
 // fails the NEXT FlushBarrier/TxCommit, never silently dropped.
 //
-// Order-preserving barriers (ftl::CommitMode::kBarrier firmware): Barrier()
-// bumps the host's epoch counter, passes an ordered-flush verb down to the
-// FTL (which fences the flash program scheduler — epoch membership lives
-// there, not per queued tag) and returns without draining the queue, so the
-// pipeline stays full across fsync points. FlushBarrier/TxCommit/TxPrepare
-// then become order-only too; a deferred background loss surfaces at the
-// first barrier or commit of the next epoch. AwaitDurable() keeps the
-// classic completion-wait semantics for the callers that genuinely need the
-// result in the cells (the array controller's 2PC commit record).
+// Order-preserving barriers (ftl::CommitMode::kBarrier firmware): the host
+// issues the same FlushBarrier on every drive, and the firmware alone
+// decides what it means. On barrier firmware it bumps the host's epoch
+// counter, passes an ordered-flush verb down to the FTL (which fences the
+// flash program scheduler — epoch membership lives there, not per queued
+// tag) and returns without draining the queue, so the pipeline stays full
+// across fsync points. TxCommit/TxPrepare are order-only too; a deferred
+// background loss surfaces at the first flush or commit of the next epoch.
+// AwaitDurable() keeps the classic completion-wait semantics for the callers
+// that genuinely need the result in the cells (the array controller's 2PC
+// commit record and its multi-member flushes).
 #ifndef XFTL_STORAGE_SATA_DEVICE_H_
 #define XFTL_STORAGE_SATA_DEVICE_H_
 
@@ -89,10 +91,6 @@ struct LinkFaultModel {
   double timeout_prob = 0.0;    // per queued command: completion FIS lost
   double abort_prob = 0.0;      // per queued command: spurious device abort
   uint64_t seed = 0x5a7a11;
-
-  bool Enabled() const {
-    return crc_error_prob > 0 || timeout_prob > 0 || abort_prob > 0;
-  }
 };
 
 // Host-side recovery policy: how hard the host fights before escalating a
@@ -210,13 +208,14 @@ class SataDevice : public TxBlockDevice {
   Status WriteBatch(const uint64_t* pages, const uint8_t* const* datas,
                     size_t n, size_t* accepted = nullptr) override;
   Status Trim(uint64_t page) override;
+  // Drains the queue and runs a full FTL flush; on kBarrier firmware it is
+  // order-only instead (see header comment).
   Status FlushBarrier() override;
-  Status Barrier() override;
   // Completion-wait durability point regardless of commit mode: drains the
   // queue, surfaces any deferred error, and runs a full FTL flush. Under
-  // kBarrier firmware the ordinary barrier verbs are order-only; callers
-  // that must have the bits in the cells before proceeding (2PC commit
-  // records) use this instead.
+  // kBarrier firmware FlushBarrier and the commit verbs are order-only;
+  // callers that must have the bits in the cells before proceeding (2PC
+  // commit records) use this instead.
   Status AwaitDurable();
 
   bool SupportsTransactions() const override { return xftl_ != nullptr; }
@@ -263,8 +262,8 @@ class SataDevice : public TxBlockDevice {
   uint32_t queue_depth() const { return timings_.ncq_depth; }
   // Waits for every queued command to complete, running the NCQ error
   // protocol on any tag that faults along the way. FlushBarrier/TxCommit do
-  // this implicitly; exposed for tests and workloads that want a quiesce
-  // point without paying a full mapping-table flush.
+  // this implicitly on drain firmware; exposed for tests and workloads that
+  // want a quiesce point without paying a full mapping-table flush.
   void DrainQueue();
 
   // --- link-fault injection ------------------------------------------------
@@ -287,9 +286,6 @@ class SataDevice : public TxBlockDevice {
   const SataStats& stats() const { return stats_; }
   ftl::PageFtl* ftl() const { return ftl_; }
   ftl::CommitMode commit_mode() const { return ftl_->commit_mode(); }
-  // Barrier epoch the next queued write will be tagged with (volatile host
-  // state; a power cut or link reset restarts it).
-  uint64_t barrier_epoch() const { return barrier_epoch_; }
 
   // Transactions with at least one write issued and no commit/abort yet.
   // This is volatile front-end state: it does not survive a power cycle.
@@ -335,10 +331,17 @@ class SataDevice : public TxBlockDevice {
             uint64_t occupancy = 0);
   // Fails fast once the final ladder rung rejected the link for writes.
   Status CheckLink() const;
-  // Synchronous read with CRC retransfer retries (bounded backoff). Read
-  // CRC faults never climb the ladder: they say nothing about queued-write
-  // loss, and reads must keep working under the read-only degradations.
-  Status LinkRead(TxId t, uint64_t page, uint8_t* data);
+  // Synchronous read with CRC retransfer retries (bounded backoff): runs the
+  // device-side `read` once per attempt; `t` and `page` label the
+  // kLinkFault events. Read CRC faults never climb the ladder: they say
+  // nothing about queued-write loss, and reads must keep working under the
+  // read-only degradations.
+  template <typename DeviceRead>
+  Status LinkRead(TxId t, uint64_t page, const DeviceRead& read);
+  // The completion-wait flush behind FlushBarrier (drain/PLP firmware) and
+  // AwaitDurable: drain the queue, surface any deferred error, full FTL
+  // flush. The kFlush event's `a` is 1 for AwaitDurable, 0 otherwise.
+  Status DrainAndFlush(bool await_durable);
   uint32_t EffectiveDepth() const { return degraded_ ? 1 : timings_.ncq_depth; }
   // True if the `countdown`-th transfer fault (scripted or sampled) fires.
   bool TransferFaults();
@@ -425,9 +428,10 @@ class SataDevice : public TxBlockDevice {
   std::vector<uint64_t> scripted_aborts_;
   uint64_t transfer_ops_ = 0;
   uint64_t enqueue_ops_ = 0;
-  // Barrier epoch counter (kBarrier firmware); tags queued writes and is
-  // bumped by Barrier(). Volatile: ResetVolatile restarts it, and recovery
-  // re-derives ordering from what reached the cells.
+  // Barrier epoch counter (kBarrier firmware); bumped by every order-only
+  // FlushBarrier and carried in its kBarrier event. Volatile: ResetVolatile
+  // restarts it, and recovery re-derives ordering from what reached the
+  // cells.
   uint64_t barrier_epoch_ = 0;
   // Degradation-ladder state.
   bool in_recovery_ = false;

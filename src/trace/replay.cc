@@ -76,8 +76,10 @@ StatusOr<ReplayResult> ReplayTrace(const std::string& path,
         s = e.a == 1 ? dev->AwaitDurable() : dev->FlushBarrier();
         break;
       case Op::kBarrier:
+        // Captured from a FlushBarrier that barrier firmware served
+        // order-only; the replay drive's firmware does the same.
         r.flushes++;
-        s = dev->Barrier();
+        s = dev->FlushBarrier();
         break;
       case Op::kTxCommit:
         r.commits++;

@@ -46,22 +46,10 @@ Status Harness::Setup() {
   spec.transactional = config_.setup == Setup::kXftl;
   spec.flash.fault = config_.fault;
   spec.link_fault = config_.link_fault;
-  spec.link_policy = config_.link_policy;
   if (config_.write_buffer_pages > 0) {
     spec.flash.write_buffer_pages = config_.write_buffer_pages;
   }
-  if (config_.commit_mode >= 0) {
-    // An out-of-range value cast through would fall past every firmware
-    // switch (OrderCommit, CommitOrderPoint) without draining — silently
-    // weaker commit semantics, so reject it up front.
-    if (config_.commit_mode > int(ftl::CommitMode::kPlp)) {
-      return Status::InvalidArgument(
-          "commit_mode " + std::to_string(config_.commit_mode) +
-          " out of range (0=drain, 1=barrier, 2=plp)");
-    }
-    spec.ftl.commit_mode = static_cast<ftl::CommitMode>(config_.commit_mode);
-  }
-  barrier_commit_ = spec.ftl.commit_mode == ftl::CommitMode::kBarrier;
+  if (config_.commit_mode) spec.ftl.commit_mode = *config_.commit_mode;
   if (config_.num_devices > 1) {
     host::VolumeConfig vc;
     vc.num_devices = config_.num_devices;
@@ -87,14 +75,18 @@ Status Harness::Setup() {
     }
   }
 
-  fs::FsOptions fs_opt;
-  fs_opt.journal_mode = config_.setup == Setup::kXftl
-                            ? fs::JournalMode::kOff
-                            : fs::JournalMode::kOrdered;
-  fs_opt.cache_pages = config_.fs_cache_pages;
+  const fs::FsOptions fs_opt = MountOptions();
   XFTL_RETURN_IF_ERROR(fs::ExtFs::Mkfs(device(), fs_opt));
   XFTL_ASSIGN_OR_RETURN(fs_, fs::ExtFs::Mount(device(), fs_opt, &clock_));
   return Status::OK();
+}
+
+fs::FsOptions Harness::MountOptions() const {
+  fs::FsOptions opt;
+  opt.journal_mode = config_.setup == Setup::kXftl ? fs::JournalMode::kOff
+                                                   : fs::JournalMode::kOrdered;
+  opt.cache_pages = config_.fs_cache_pages;
+  return opt;
 }
 
 storage::SimSsd* Harness::ssd(uint32_t i) const {
@@ -112,34 +104,28 @@ StatusOr<sql::Database*> Harness::OpenDatabase(const std::string& name) {
   for (auto& [db_name, db] : dbs_) {
     if (db_name == name && db != nullptr) return db.get();
   }
-  sql::DbOptions opt;
-  opt.journal_mode = sql_mode();
-  opt.cache_pages = config_.db_cache_pages;
-  opt.wal_autocheckpoint = config_.wal_autocheckpoint;
-  opt.barrier_commit = barrier_commit_;
-  if (config_.cpu_per_statement > 0) {
-    opt.cpu_per_statement = config_.cpu_per_statement;
-  }
-  XFTL_ASSIGN_OR_RETURN(auto db, sql::Database::Open(fs_.get(), name, opt));
-  if (tracer_ != nullptr) db->pager()->set_tracer(tracer_.get());
-  dbs_.emplace_back(name, std::move(db));
-  return dbs_.back().second.get();
+  return OpenConnection(name, name, /*read_only=*/false);
 }
 
 StatusOr<sql::Database*> Harness::OpenReaderConnection(
     const std::string& name) {
+  return OpenConnection(name, name + "@r" + std::to_string(dbs_.size()),
+                        /*read_only=*/true);
+}
+
+StatusOr<sql::Database*> Harness::OpenConnection(const std::string& name,
+                                                 std::string key,
+                                                 bool read_only) {
   sql::DbOptions opt;
   opt.journal_mode = sql_mode();
   opt.cache_pages = config_.db_cache_pages;
-  opt.wal_autocheckpoint = config_.wal_autocheckpoint;
-  opt.read_only = true;
-  opt.barrier_commit = barrier_commit_;
+  opt.read_only = read_only;
   if (config_.cpu_per_statement > 0) {
     opt.cpu_per_statement = config_.cpu_per_statement;
   }
   XFTL_ASSIGN_OR_RETURN(auto db, sql::Database::Open(fs_.get(), name, opt));
   if (tracer_ != nullptr) db->pager()->set_tracer(tracer_.get());
-  dbs_.emplace_back(name + "@r" + std::to_string(dbs_.size()), std::move(db));
+  dbs_.emplace_back(std::move(key), std::move(db));
   return dbs_.back().second.get();
 }
 
@@ -155,28 +141,11 @@ Status Harness::CloseDatabase(const std::string& name) {
 }
 
 Status Harness::CrashAndRecover() {
-  // Drop host state without rolling anything back: a real crash does not
-  // get to run the polite shutdown path.
-  for (auto& [name, db] : dbs_) {
-    if (db != nullptr) db->Abandon();
-  }
-  dbs_.clear();
-  fs_.reset();
   // One rail: the striped volume cuts every member at the same simulated
   // instant before any member starts recovering.
-  if (volume_ != nullptr) {
-    XFTL_RETURN_IF_ERROR(volume_->PowerCycle());
-  } else {
-    XFTL_RETURN_IF_ERROR(ssd_->PowerCycle());
-  }
-  fs::FsOptions fs_opt;
-  fs_opt.journal_mode = config_.setup == Setup::kXftl
-                            ? fs::JournalMode::kOff
-                            : fs::JournalMode::kOrdered;
-  fs_opt.cache_pages = config_.fs_cache_pages;
-  XFTL_ASSIGN_OR_RETURN(fs_, fs::ExtFs::Mount(device(), fs_opt, &clock_));
-  WireTracer();
-  return Status::OK();
+  return CrashAndRemount([this] {
+    return volume_ != nullptr ? volume_->PowerCycle() : ssd_->PowerCycle();
+  });
 }
 
 Status Harness::CrashMemberAndRecover(uint32_t m) {
@@ -186,18 +155,20 @@ Status Harness::CrashMemberAndRecover(uint32_t m) {
   // Host state is torn down exactly like a whole-array crash — the dead
   // member took shared file-system stripes with it, so every connection's
   // view is suspect until the remount re-reads from the recovered array.
+  return CrashAndRemount([this, m] { return volume_->PowerCycleMember(m); });
+}
+
+Status Harness::CrashAndRemount(const std::function<Status()>& power_cycle) {
+  // Drop host state without rolling anything back: a real crash does not
+  // get to run the polite shutdown path.
   for (auto& [name, db] : dbs_) {
     if (db != nullptr) db->Abandon();
   }
   dbs_.clear();
   fs_.reset();
-  XFTL_RETURN_IF_ERROR(volume_->PowerCycleMember(m));
-  fs::FsOptions fs_opt;
-  fs_opt.journal_mode = config_.setup == Setup::kXftl
-                            ? fs::JournalMode::kOff
-                            : fs::JournalMode::kOrdered;
-  fs_opt.cache_pages = config_.fs_cache_pages;
-  XFTL_ASSIGN_OR_RETURN(fs_, fs::ExtFs::Mount(device(), fs_opt, &clock_));
+  XFTL_RETURN_IF_ERROR(power_cycle());
+  XFTL_ASSIGN_OR_RETURN(fs_,
+                        fs::ExtFs::Mount(device(), MountOptions(), &clock_));
   WireTracer();
   return Status::OK();
 }

@@ -11,7 +11,9 @@
 #ifndef XFTL_WORKLOAD_HARNESS_H_
 #define XFTL_WORKLOAD_HARNESS_H_
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,24 +48,19 @@ struct HarnessConfig {
   uint32_t fs_cache_pages = 512;
   // SQLite's default page-cache is ~2000 pages; the paper ran stock SQLite.
   uint32_t db_cache_pages = 2000;
-  uint32_t wal_autocheckpoint = 1000;
   uint64_t seed = 42;
   // NAND failure injection for the measured device (program/erase status
   // failures + wear-driven bit errors); zeroed = perfect media.
   flash::FaultModel fault;
-  // Transient SATA link faults and the host recovery policy that fights
-  // them; zeroed = perfect link. Composes with `fault`.
+  // Transient SATA link faults; zeroed = perfect link. Composes with `fault`.
   storage::LinkFaultModel link_fault;
-  storage::LinkRecoveryPolicy link_policy;
   // Volatile program-buffer depth; 0 keeps the device profile's default.
   // Depth 1 is effectively write-through (every program drains before the
   // next), isolating what the buffer saves at flush barriers.
   uint32_t write_buffer_pages = 0;
-  // Firmware commit discipline override: -1 keeps the device profile's
-  // default (OpenSSD: drain, S830: PLP), otherwise the value is a
-  // ftl::CommitMode. Under kBarrier the databases this harness opens also
-  // commit through ordered barriers (sql barrier_commit).
-  int commit_mode = -1;
+  // Firmware commit discipline override; empty keeps the device profile's
+  // default (OpenSSD: drain, S830: PLP).
+  std::optional<ftl::CommitMode> commit_mode;
   // Device array: >1 builds a host::StripedVolume of identical members
   // instead of a single drive. 1 keeps the exact legacy single-device path
   // (no stripe rounding of the logical space, so seeded single-device
@@ -230,6 +227,15 @@ class Harness {
   // Every counter of the stack as it stands now, `elapsed` = the clock.
   IoSnapshot Collect() const;
   void WireTracer();
+  // The file-system options of this setup (mkfs and every mount).
+  fs::FsOptions MountOptions() const;
+  // Opens `name` with this setup's database options and registers the
+  // connection under `key`.
+  StatusOr<sql::Database*> OpenConnection(const std::string& name,
+                                          std::string key, bool read_only);
+  // The crash verbs' shared body: drops host state without the polite
+  // shutdown path, runs `power_cycle` on the devices, then remounts.
+  Status CrashAndRemount(const std::function<Status()>& power_cycle);
 
   const HarnessConfig config_;
   SimClock clock_;
@@ -238,7 +244,6 @@ class Harness {
   std::unique_ptr<fs::ExtFs> fs_;
   std::vector<std::pair<std::string, std::unique_ptr<sql::Database>>> dbs_;
   double aged_validity_ = 0.0;
-  bool barrier_commit_ = false;  // effective firmware mode is kBarrier
   std::unique_ptr<trace::TraceWriter> trace_writer_;
   std::unique_ptr<trace::Tracer> tracer_;
   IoSnapshot baseline_;  // Collect() at StartMeasurement()

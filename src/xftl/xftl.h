@@ -177,12 +177,9 @@ class XFtl : public PageFtl {
   // (0xff-filled if `p` was unmapped at the pin). FailedPrecondition if
   // `epoch` is not currently pinned.
   Status SnapshotRead(uint64_t epoch, Lpn p, uint8_t* data);
-  // Current commit epoch (bumped once per non-empty commit).
-  uint64_t CurrentEpoch() const { return commit_epoch_; }
   size_t PinnedSnapshotCount() const { return pins_.size(); }
 
   const XftlStats& xstats() const { return xstats_; }
-  bool plp_commit() const { return commit_mode() == CommitMode::kPlp; }
   // Id of the newest X-L2P snapshot known whole on flash: the one recovery
   // loaded, or a newer one written since (0 = none). xftl_fsck checks it
   // against its own derivation.

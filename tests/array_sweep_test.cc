@@ -91,7 +91,7 @@ void RunArrayCrashPoint(const ArrayPoint& point) {
   hc.fs_cache_pages = 64;
   hc.db_cache_pages = 16;  // small: forces steals mid-transaction
   hc.seed = point.seed;
-  if (point.barrier) hc.commit_mode = int(ftl::CommitMode::kBarrier);
+  if (point.barrier) hc.commit_mode = ftl::CommitMode::kBarrier;
   Harness h(hc);
   ASSERT_TRUE(h.Setup().ok());
 

@@ -202,7 +202,6 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
   DbOptions db_opt;
   db_opt.journal_mode = param.mode;
   db_opt.cache_pages = 16;  // small: forces steals mid-transaction
-  db_opt.barrier_commit = param.commit_mode == ftl::CommitMode::kBarrier;
   auto db = std::move(Database::Open(fs.get(), "sweep.db", db_opt)).value();
   ASSERT_TRUE(
       db->Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, a INT, b TEXT)")

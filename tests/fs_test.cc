@@ -15,8 +15,9 @@
 namespace xftl::fs {
 namespace {
 
-storage::SsdSpec TestSpec() {
+storage::SsdSpec TestSpec(ftl::CommitMode commit = ftl::CommitMode::kDrain) {
   storage::SsdSpec spec = storage::OpenSsdSpec(64, 0.6);
+  spec.ftl.commit_mode = commit;
   spec.flash.page_size = 1024;
   spec.flash.pages_per_block = 16;
   spec.flash.num_blocks = 128;
@@ -296,7 +297,9 @@ INSTANTIATE_TEST_SUITE_P(AllModes, FsModeTest,
 
 class FsFixture {
  public:
-  explicit FsFixture(JournalMode mode) : ssd_(TestSpec(), &clock_) {
+  explicit FsFixture(JournalMode mode,
+                     ftl::CommitMode commit = ftl::CommitMode::kDrain)
+      : ssd_(TestSpec(commit), &clock_) {
     CHECK(ExtFs::Mkfs(ssd_.device(), OptionsFor(mode)).ok());
     auto fs = ExtFs::Mount(ssd_.device(), OptionsFor(mode), &clock_);
     CHECK(fs.ok());
@@ -513,15 +516,24 @@ TEST(FsMultiFileTxTest, LinkRequiresOffModeAndIdleFiles) {
   EXPECT_TRUE(off.fs_->LinkTransactions({*a}).IsBusy());
 }
 
+// The host issues the same fsync on every firmware: two barrier commands.
+// Barrier firmware alone makes them order-only, each opening a flash epoch.
 TEST(FsJournalTest, OrderedFsyncUsesTwoBarriers) {
-  FsFixture f(JournalMode::kOrdered);
-  auto fd = f.fs_->Create("b.db");
-  ASSERT_TRUE(fd.ok());
-  std::vector<uint8_t> page(1024, 1);
-  ASSERT_TRUE(f.fs_->Write(*fd, 0, page.data(), page.size()).ok());
-  uint64_t barriers_before = f.ssd_.device()->stats().barrier_commands;
-  ASSERT_TRUE(f.fs_->Fsync(*fd).ok());
-  EXPECT_EQ(f.ssd_.device()->stats().barrier_commands, barriers_before + 2);
+  for (ftl::CommitMode commit :
+       {ftl::CommitMode::kDrain, ftl::CommitMode::kBarrier}) {
+    SCOPED_TRACE(ftl::CommitModeName(commit));
+    FsFixture f(JournalMode::kOrdered, commit);
+    auto fd = f.fs_->Create("b.db");
+    ASSERT_TRUE(fd.ok());
+    std::vector<uint8_t> page(1024, 1);
+    ASSERT_TRUE(f.fs_->Write(*fd, 0, page.data(), page.size()).ok());
+    const uint64_t barriers_before = f.ssd_.device()->stats().barrier_commands;
+    const uint64_t epoch_before = f.ssd_.flash()->current_epoch();
+    ASSERT_TRUE(f.fs_->Fsync(*fd).ok());
+    EXPECT_EQ(f.ssd_.device()->stats().barrier_commands, barriers_before + 2);
+    EXPECT_EQ(f.ssd_.flash()->current_epoch() - epoch_before,
+              commit == ftl::CommitMode::kBarrier ? 2u : 0u);
+  }
 }
 
 TEST(FsJournalTest, OffModeFsyncUsesSingleCommit) {

@@ -156,7 +156,7 @@ TEST(StripedVolumeTest, BatchFansOutAndCommitReachesParticipantsOnly) {
 // --- barrier ordering across members ----------------------------------------
 
 // Epoch-prefix durability is a per-member promise, so a multi-member volume
-// must serve Barrier() with completion-wait semantics under barrier
+// must serve FlushBarrier() with completion-wait semantics under barrier
 // firmware: when it returns, no member still holds an in-flight program an
 // earlier-ordered write on a DIFFERENT member could be lost behind. A cut
 // right after the barrier must never persist a post-barrier write on one
@@ -173,11 +173,12 @@ TEST(ArrayBarrierTest, MultiMemberBarrierCompletionWaits) {
   const uint32_t ps = vol.page_size();
   std::vector<uint8_t> buf(ps, 0x5a);
   // Three pages per member (stripe=1: lpn % 3); tPROG far outlasts the
-  // host-side submits, so programs are still in flight when Barrier runs.
+  // host-side submits, so programs are still in flight when the barrier
+  // runs.
   for (uint64_t lpn = 0; lpn < 9; ++lpn) {
     ASSERT_TRUE(vol.Write(lpn, buf.data()).ok());
   }
-  ASSERT_TRUE(vol.Barrier().ok());
+  ASSERT_TRUE(vol.FlushBarrier().ok());
   for (uint32_t m = 0; m < vc.num_devices; ++m) {
     EXPECT_EQ(vol.member(m)->device()->InflightCommands(), 0u)
         << "member " << m << " still had queued programs after the barrier";
@@ -201,22 +202,10 @@ TEST(ArrayBarrierTest, SingleMemberBarrierStaysOrderOnly) {
   // One member: epoch ordering inside its controller suffices, the barrier
   // pays only the command overhead and leaves the pipeline full.
   const SimNanos t0 = clock.Now();
-  ASSERT_TRUE(vol.Barrier().ok());
+  ASSERT_TRUE(vol.FlushBarrier().ok());
   EXPECT_EQ(clock.Now() - t0, vc.spec.sata.command_overhead);
   EXPECT_GT(vol.member(0)->device()->InflightCommands(), 0u)
       << "order-only barrier must not drain the queue";
-}
-
-// An out-of-range firmware mode would cast into an invalid enum that falls
-// through every commit-discipline switch without draining; the harness
-// rejects it before a device is built.
-TEST(HarnessConfigTest, RejectsOutOfRangeCommitMode) {
-  workload::HarnessConfig hc;
-  hc.commit_mode = 3;
-  workload::Harness h(hc);
-  Status s = h.Setup();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
 // --- scheduler: overlap and determinism -------------------------------------
