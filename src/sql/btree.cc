@@ -20,48 +20,139 @@ constexpr size_t kOverflowHeader = 12;  // type(1) pad(3) next(4) len(4)
 
 bool IsLeafType(uint8_t t) { return t == kTableLeaf || t == kIndexLeaf; }
 
+Status CellOverrun() {
+  return Status::Corruption("btree cell runs past the page end");
+}
+
 }  // namespace
 
 uint32_t BTree::MaxLocal() const { return pager_->page_size() / 4; }
 
 // ---------------------------------------------------------------------------
-// page (de)serialization
+// page format
 // ---------------------------------------------------------------------------
 
-StatusOr<std::vector<BTree::Cell>> BTree::ReadCells(const uint8_t* page,
-                                                    bool* leaf,
-                                                    Pgno* right_child) const {
+StatusOr<BTree::PageHeader> BTree::ReadHeader(const uint8_t* page) const {
   uint8_t type = page[0];
   if ((is_index_ && type != kIndexLeaf && type != kIndexInterior) ||
       (!is_index_ && type != kTableLeaf && type != kTableInterior)) {
     return Status::Corruption("unexpected btree page type " +
                               std::to_string(type));
   }
-  *leaf = IsLeafType(type);
-  uint16_t ncells = DecodeFixed16(page + 1);
-  *right_child = DecodeFixed32(page + 3);
-  std::vector<Cell> cells;
-  cells.reserve(ncells);
+  PageHeader header;
+  header.leaf = IsLeafType(type);
+  header.ncells = DecodeFixed16(page + 1);
+  header.right_child = DecodeFixed32(page + 3);
+  return header;
+}
+
+// A cell is child(4, interior pages) rowid(8, table trees) and, on leaves
+// and in index trees, payload_total(4) local_size(2) overflow(4) local bytes.
+size_t BTree::CellSize(bool leaf, size_t local_size) const {
+  size_t size = 0;
+  if (!leaf) size += 4;
+  if (!is_index_) size += 8;
+  if (is_index_ || leaf) size += 10 + local_size;
+  return size;
+}
+
+// Inline: this is the step of every page walk.
+inline bool BTree::ViewCell(const uint8_t* page, bool leaf, size_t off,
+                            CellView* cell) const {
+  const size_t page_size = pager_->page_size();
+  if (off + CellSize(leaf, 0) > page_size) return false;
+  *cell = CellView();
+  if (!leaf) {
+    cell->child = DecodeFixed32(page + off);
+    off += 4;
+  }
+  if (!is_index_) {
+    cell->rowid = int64_t(DecodeFixed64(page + off));
+    off += 8;
+  }
+  if (is_index_ || leaf) {
+    cell->payload_total = DecodeFixed32(page + off);
+    cell->local_size = DecodeFixed16(page + off + 4);
+    cell->overflow = DecodeFixed32(page + off + 6);
+    off += 10;
+    if (off + cell->local_size > page_size) return false;
+    cell->local = page + off;
+    off += cell->local_size;
+  }
+  cell->next = off;
+  return true;
+}
+
+size_t BTree::EncodeCell(uint8_t* dst, bool leaf, const Cell& cell) const {
+  size_t off = 0;
+  if (!leaf) {
+    EncodeFixed32(dst + off, cell.child);
+    off += 4;
+  }
+  if (!is_index_) {
+    EncodeFixed64(dst + off, uint64_t(cell.rowid));
+    off += 8;
+  }
+  if (is_index_ || leaf) {
+    EncodeFixed32(dst + off, cell.payload_total);
+    EncodeFixed16(dst + off + 4, uint16_t(cell.local.size()));
+    EncodeFixed32(dst + off + 6, cell.overflow);
+    off += 10;
+    std::memcpy(dst + off, cell.local.data(), cell.local.size());
+    off += cell.local.size();
+  }
+  return off;
+}
+
+int BTree::CompareToCell(const Probe& probe, const CellView& cell) const {
+  if (is_index_) {
+    DCHECK(probe.key != nullptr);
+    return CompareEncodedRecords(probe.key->data(), probe.key->size(),
+                                 cell.local, cell.local_size);
+  }
+  return probe.rowid < cell.rowid ? -1 : (probe.rowid > cell.rowid ? 1 : 0);
+}
+
+StatusOr<BTree::Slot> BTree::Locate(const uint8_t* page,
+                                    const PageHeader& header,
+                                    const Probe* probe) const {
+  Slot slot;
+  slot.pos = header.ncells;
   size_t off = kPageHeader;
-  for (uint16_t i = 0; i < ncells; ++i) {
-    Cell c;
-    if (!*leaf) {
-      c.child = DecodeFixed32(page + off);
-      off += 4;
+  for (int i = 0; i < header.ncells; ++i) {
+    CellView cell;
+    if (!ViewCell(page, header.leaf, off, &cell)) return CellOverrun();
+    if (slot.pos == header.ncells) {
+      int cmp = probe == nullptr ? -1 : CompareToCell(*probe, cell);
+      if (cmp <= 0) {
+        slot.pos = i;
+        slot.off = off;
+        slot.cmp = cmp;
+        slot.cell = cell;
+      }
     }
-    if (!is_index_) {
-      c.rowid = int64_t(DecodeFixed64(page + off));
-      off += 8;
-    }
-    if (is_index_ || *leaf) {
-      c.payload_total = DecodeFixed32(page + off);
-      uint16_t local = DecodeFixed16(page + off + 4);
-      c.overflow = DecodeFixed32(page + off + 6);
-      off += 10;
-      c.local.assign(page + off, page + off + local);
-      off += local;
-    }
-    cells.push_back(std::move(c));
+    off = cell.next;
+  }
+  slot.end = off;
+  if (slot.pos == header.ncells) slot.off = off;
+  return slot;
+}
+
+StatusOr<std::vector<BTree::Cell>> BTree::ReadCells(const uint8_t* page,
+                                                    bool* leaf,
+                                                    Pgno* right_child) const {
+  XFTL_ASSIGN_OR_RETURN(PageHeader header, ReadHeader(page));
+  *leaf = header.leaf;
+  *right_child = header.right_child;
+  std::vector<Cell> cells;
+  cells.reserve(header.ncells);
+  size_t off = kPageHeader;
+  for (uint16_t i = 0; i < header.ncells; ++i) {
+    CellView v;
+    if (!ViewCell(page, header.leaf, off, &v)) return CellOverrun();
+    off = v.next;
+    cells.push_back({v.rowid, v.child, v.payload_total, v.overflow,
+                     std::vector<uint8_t>(v.local, v.local + v.local_size)});
   }
   return cells;
 }
@@ -69,52 +160,19 @@ StatusOr<std::vector<BTree::Cell>> BTree::ReadCells(const uint8_t* page,
 Status BTree::WriteCells(uint8_t* page, bool leaf, Pgno right_child,
                          const std::vector<Cell>& cells) const {
   const uint32_t page_size = pager_->page_size();
-  size_t off = kPageHeader;
-  for (const Cell& c : cells) {
-    size_t sz = 0;
-    if (!leaf) sz += 4;
-    if (!is_index_) sz += 8;
-    if (is_index_ || leaf) sz += 10 + c.local.size();
-    if (off + sz > page_size) {
-      return Status::ResourceExhausted("btree page overflow");
-    }
-    off += sz;
+  size_t end = kPageHeader;
+  for (const Cell& c : cells) end += CellSize(leaf, c.local.size());
+  if (end > page_size) {
+    return Status::ResourceExhausted("btree page overflow");
   }
   std::memset(page, 0, page_size);
   page[0] = leaf ? (is_index_ ? kIndexLeaf : kTableLeaf)
                  : (is_index_ ? kIndexInterior : kTableInterior);
   EncodeFixed16(page + 1, uint16_t(cells.size()));
   EncodeFixed32(page + 3, right_child);
-  off = kPageHeader;
-  for (const Cell& c : cells) {
-    if (!leaf) {
-      EncodeFixed32(page + off, c.child);
-      off += 4;
-    }
-    if (!is_index_) {
-      EncodeFixed64(page + off, uint64_t(c.rowid));
-      off += 8;
-    }
-    if (is_index_ || leaf) {
-      EncodeFixed32(page + off, c.payload_total);
-      EncodeFixed16(page + off + 4, uint16_t(c.local.size()));
-      EncodeFixed32(page + off + 6, c.overflow);
-      off += 10;
-      std::memcpy(page + off, c.local.data(), c.local.size());
-      off += c.local.size();
-    }
-  }
+  size_t off = kPageHeader;
+  for (const Cell& c : cells) off += EncodeCell(page + off, leaf, c);
   return Status::OK();
-}
-
-int BTree::CompareToCell(int64_t rowid, const std::vector<uint8_t>* key,
-                         const Cell& cell) const {
-  if (is_index_) {
-    DCHECK(key != nullptr);
-    return CompareEncodedRecords(key->data(), key->size(), cell.local.data(),
-                                 cell.local.size());
-  }
-  return rowid < cell.rowid ? -1 : (rowid > cell.rowid ? 1 : 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -132,41 +190,30 @@ StatusOr<Pgno> BTree::Create(Pager* pager, bool is_index) {
 Status BTree::Drop(Pager* pager, Pgno root) {
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager->Get(root));
   uint8_t type = ref.data()[0];
-  uint16_t ncells = DecodeFixed16(ref.data() + 1);
-  Pgno right_child = DecodeFixed32(ref.data() + 3);
-  bool leaf = IsLeafType(type);
-  bool index = type == kIndexLeaf || type == kIndexInterior;
+  BTree tree(pager, root, type == kIndexLeaf || type == kIndexInterior);
+  XFTL_ASSIGN_OR_RETURN(PageHeader header, tree.ReadHeader(ref.data()));
 
   // Collect child pages and overflow heads before freeing this page.
   std::vector<Pgno> children;
   std::vector<Pgno> overflows;
   size_t off = kPageHeader;
-  for (uint16_t i = 0; i < ncells; ++i) {
-    if (!leaf) {
-      children.push_back(DecodeFixed32(ref.data() + off));
-      off += 4;
+  for (uint16_t i = 0; i < header.ncells; ++i) {
+    CellView cell;
+    if (!tree.ViewCell(ref.data(), header.leaf, off, &cell)) {
+      return CellOverrun();
     }
-    if (!index) off += 8;  // rowid
-    if (index || leaf) {
-      uint16_t local = DecodeFixed16(ref.data() + off + 4);
-      Pgno ovfl = DecodeFixed32(ref.data() + off + 6);
-      if (ovfl != kNoPgno) overflows.push_back(ovfl);
-      off += 10 + local;
-    }
+    off = cell.next;
+    if (!header.leaf) children.push_back(cell.child);
+    if (cell.overflow != kNoPgno) overflows.push_back(cell.overflow);
   }
-  if (!leaf && right_child != kNoPgno) children.push_back(right_child);
+  if (!header.leaf && header.right_child != kNoPgno) {
+    children.push_back(header.right_child);
+  }
   ref = PageRef();  // release the pin before recursing
 
   for (Pgno child : children) XFTL_RETURN_IF_ERROR(Drop(pager, child));
   for (Pgno ovfl : overflows) {
-    Pgno p = ovfl;
-    while (p != kNoPgno) {
-      XFTL_ASSIGN_OR_RETURN(PageRef o, pager->Get(p));
-      Pgno next = DecodeFixed32(o.data() + 4);
-      o = PageRef();
-      XFTL_RETURN_IF_ERROR(pager->Free(p));
-      p = next;
-    }
+    XFTL_RETURN_IF_ERROR(tree.FreeOverflowChain(ovfl));
   }
   return pager->Free(root);
 }
@@ -221,21 +268,23 @@ Status BTree::FreeOverflowChain(Pgno first) {
   return Status::OK();
 }
 
-StatusOr<std::vector<uint8_t>> BTree::AssemblePayload(const Cell& cell) {
-  std::vector<uint8_t> out = cell.local;
-  out.reserve(cell.payload_total);
-  Pgno p = cell.overflow;
-  while (p != kNoPgno && out.size() < cell.payload_total) {
+StatusOr<std::vector<uint8_t>> BTree::AssemblePayload(
+    std::vector<uint8_t> out, uint32_t payload_total, Pgno first) {
+  Pgno p = first;
+  while (p != kNoPgno && out.size() < payload_total) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(p));
     if (ref.data()[0] != kOverflow) {
       return Status::Corruption("bad overflow page");
     }
     uint32_t len = DecodeFixed32(ref.data() + 8);
+    if (len > pager_->page_size() - kOverflowHeader) {
+      return Status::Corruption("overflow page runs past its end");
+    }
     out.insert(out.end(), ref.data() + kOverflowHeader,
                ref.data() + kOverflowHeader + len);
     p = DecodeFixed32(ref.data() + 4);
   }
-  if (out.size() != cell.payload_total) {
+  if (out.size() != payload_total) {
     return Status::Corruption("truncated overflow chain");
   }
   return out;
@@ -248,6 +297,21 @@ StatusOr<std::vector<uint8_t>> BTree::AssemblePayload(const Cell& cell) {
 Status BTree::Insert(int64_t rowid, const std::vector<uint8_t>& payload) {
   CHECK(!is_index_);
   XFTL_ASSIGN_OR_RETURN(Cell cell, MakeLeafCell(rowid, payload));
+  return InsertCell(std::move(cell));
+}
+
+Status BTree::InsertKey(const std::vector<uint8_t>& key) {
+  CHECK(is_index_);
+  if (key.size() > MaxLocal()) {
+    return Status::InvalidArgument("index key exceeds local payload budget");
+  }
+  Cell cell;
+  cell.payload_total = uint32_t(key.size());
+  cell.local = key;
+  return InsertCell(std::move(cell));
+}
+
+Status BTree::InsertCell(Cell cell) {
   XFTL_ASSIGN_OR_RETURN(auto split, InsertInto(root_, std::move(cell)));
   if (!split.has_value()) return Status::OK();
 
@@ -267,64 +331,45 @@ Status BTree::Insert(int64_t rowid, const std::vector<uint8_t>& payload) {
   return Status::OK();
 }
 
-Status BTree::InsertKey(const std::vector<uint8_t>& key) {
-  CHECK(is_index_);
-  if (key.size() > MaxLocal()) {
-    return Status::InvalidArgument("index key exceeds local payload budget");
-  }
-  Cell cell;
-  cell.payload_total = uint32_t(key.size());
-  cell.local = key;
-  XFTL_ASSIGN_OR_RETURN(auto split, InsertInto(root_, std::move(cell)));
-  if (!split.has_value()) return Status::OK();
-  XFTL_ASSIGN_OR_RETURN(PageRef root_ref, pager_->Get(root_));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(root_ref.data(), &leaf, &rc));
-  XFTL_ASSIGN_OR_RETURN(PageRef left, pager_->Allocate());
-  XFTL_RETURN_IF_ERROR(WriteCells(left.data(), leaf, rc, cells));
-  Cell sep = std::move(split->separator);
-  sep.child = left.pgno();
-  XFTL_RETURN_IF_ERROR(root_ref.MarkDirty());
-  XFTL_RETURN_IF_ERROR(
-      WriteCells(root_ref.data(), /*leaf=*/false, split->right, {sep}));
-  return Status::OK();
-}
-
 StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
                                                               Cell cell) {
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(PageHeader header, ReadHeader(ref.data()));
+  const Probe probe{cell.rowid, &cell.local};
+  XFTL_ASSIGN_OR_RETURN(Slot slot, Locate(ref.data(), header, &probe));
 
-  if (leaf) {
-    // Find insertion position / existing entry.
-    size_t pos = 0;
-    bool replace = false;
-    for (; pos < cells.size(); ++pos) {
-      int c = CompareToCell(cell.rowid, is_index_ ? &cell.local : nullptr,
-                            cells[pos]);
-      if (c == 0) {
-        replace = true;
-        break;
-      }
-      if (c < 0) break;
-    }
-    if (replace) {
-      if (cells[pos].overflow != kNoPgno) {
-        XFTL_RETURN_IF_ERROR(FreeOverflowChain(cells[pos].overflow));
-      }
-      cells[pos] = std::move(cell);
-    } else {
-      cells.insert(cells.begin() + pos, std::move(cell));
+  if (header.leaf) {
+    // An equal key is replaced; otherwise the cell goes before the slot.
+    const bool replace = slot.cmp == 0;
+    const size_t old_size = replace ? slot.cell.next - slot.off : 0;
+    if (replace && slot.cell.overflow != kNoPgno) {
+      XFTL_RETURN_IF_ERROR(FreeOverflowChain(slot.cell.overflow));
     }
     XFTL_RETURN_IF_ERROR(ref.MarkDirty());
-    Status s = WriteCells(ref.data(), true, rc, cells);
-    if (s.ok()) return std::optional<SplitResult>{};
-    if (s.code() != StatusCode::kResourceExhausted) return s;
+    const size_t new_size = CellSize(true, cell.local.size());
+    const size_t end = slot.end - old_size + new_size;
+    if (end <= pager_->page_size()) {
+      // Edit in place: shift the later cells, write the new one into the
+      // gap, and zero whatever a shrinking replace freed, which leaves the
+      // bytes WriteCells would write.
+      uint8_t* page = ref.data();
+      std::memmove(page + slot.off + new_size, page + slot.off + old_size,
+                   slot.end - slot.off - old_size);
+      EncodeCell(page + slot.off, /*leaf=*/true, cell);
+      if (end < slot.end) std::memset(page + end, 0, slot.end - end);
+      if (!replace) EncodeFixed16(page + 1, uint16_t(header.ncells + 1));
+      return std::optional<SplitResult>{};
+    }
 
     // Split the leaf: lower half stays, upper half moves right.
+    bool leaf;
+    Pgno rc;
+    XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
+    if (replace) {
+      cells[slot.pos] = std::move(cell);
+    } else {
+      cells.insert(cells.begin() + slot.pos, std::move(cell));
+    }
     size_t mid = cells.size() / 2;
     std::vector<Cell> left_cells(cells.begin(), cells.begin() + mid);
     std::vector<Cell> right_cells(cells.begin() + mid, cells.end());
@@ -345,13 +390,8 @@ StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
   }
 
   // Interior: route to the child covering the key.
-  size_t pos = 0;
-  for (; pos < cells.size(); ++pos) {
-    int c = CompareToCell(cell.rowid, is_index_ ? &cell.local : nullptr,
-                          cells[pos]);
-    if (c <= 0) break;
-  }
-  Pgno child = pos < cells.size() ? cells[pos].child : rc;
+  const size_t pos = slot.pos;
+  const Pgno child = pos < header.ncells ? slot.cell.child : header.right_child;
   ref = PageRef();  // release pin during recursion
   XFTL_ASSIGN_OR_RETURN(auto sub, InsertInto(child, std::move(cell)));
   if (!sub.has_value()) return std::optional<SplitResult>{};
@@ -359,7 +399,9 @@ StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
   // The child split into child (lower) and sub->right (upper): insert the
   // new separator and redirect the old route to the upper half.
   XFTL_ASSIGN_OR_RETURN(ref, pager_->Get(pgno));
-  XFTL_ASSIGN_OR_RETURN(cells, ReadCells(ref.data(), &leaf, &rc));
+  bool leaf;
+  Pgno rc;
+  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
   Cell sep = std::move(sub->separator);
   sep.child = child;
   if (pos < cells.size()) {
@@ -396,56 +438,51 @@ StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
 Status BTree::Delete(int64_t rowid) {
   CHECK(!is_index_);
   bool emptied = false;
-  return DeleteFrom(root_, rowid, nullptr, &emptied);
+  return DeleteFrom(root_, Probe{rowid, nullptr}, &emptied);
 }
 
 Status BTree::DeleteKey(const std::vector<uint8_t>& key) {
   CHECK(is_index_);
   bool emptied = false;
-  return DeleteFrom(root_, 0, &key, &emptied);
+  return DeleteFrom(root_, Probe{0, &key}, &emptied);
 }
 
-Status BTree::DeleteFrom(Pgno pgno, int64_t rowid,
-                         const std::vector<uint8_t>* key, bool* emptied) {
+Status BTree::DeleteFrom(Pgno pgno, const Probe& probe, bool* emptied) {
   *emptied = false;
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(PageHeader header, ReadHeader(ref.data()));
+  XFTL_ASSIGN_OR_RETURN(Slot slot, Locate(ref.data(), header, &probe));
 
-  if (leaf) {
-    for (size_t pos = 0; pos < cells.size(); ++pos) {
-      int c = CompareToCell(rowid, key, cells[pos]);
-      if (c == 0) {
-        if (cells[pos].overflow != kNoPgno) {
-          XFTL_RETURN_IF_ERROR(FreeOverflowChain(cells[pos].overflow));
-        }
-        cells.erase(cells.begin() + pos);
-        XFTL_RETURN_IF_ERROR(ref.MarkDirty());
-        XFTL_RETURN_IF_ERROR(WriteCells(ref.data(), true, rc, cells));
-        *emptied = cells.empty() && pgno != root_;
-        return Status::OK();
-      }
-      if (c < 0) break;
+  if (header.leaf) {
+    if (slot.cmp != 0) return Status::NotFound("btree entry not found");
+    if (slot.cell.overflow != kNoPgno) {
+      XFTL_RETURN_IF_ERROR(FreeOverflowChain(slot.cell.overflow));
     }
-    return Status::NotFound("btree entry not found");
+    XFTL_RETURN_IF_ERROR(ref.MarkDirty());
+    // Close the gap in place and zero the bytes it frees at the end.
+    const size_t size = slot.cell.next - slot.off;
+    uint8_t* page = ref.data();
+    std::memmove(page + slot.off, page + slot.off + size,
+                 slot.end - slot.off - size);
+    std::memset(page + slot.end - size, 0, size);
+    EncodeFixed16(page + 1, uint16_t(header.ncells - 1));
+    *emptied = header.ncells == 1 && pgno != root_;
+    return Status::OK();
   }
 
-  size_t pos = 0;
-  for (; pos < cells.size(); ++pos) {
-    int c = CompareToCell(rowid, key, cells[pos]);
-    if (c <= 0) break;
-  }
-  Pgno child = pos < cells.size() ? cells[pos].child : rc;
+  const size_t pos = slot.pos;
+  const Pgno child = pos < header.ncells ? slot.cell.child : header.right_child;
   ref = PageRef();
   bool child_emptied = false;
-  XFTL_RETURN_IF_ERROR(DeleteFrom(child, rowid, key, &child_emptied));
+  XFTL_RETURN_IF_ERROR(DeleteFrom(child, probe, &child_emptied));
   if (!child_emptied) return Status::OK();
 
   // Unlink the emptied child.
   XFTL_RETURN_IF_ERROR(pager_->Free(child));
   XFTL_ASSIGN_OR_RETURN(ref, pager_->Get(pgno));
-  XFTL_ASSIGN_OR_RETURN(cells, ReadCells(ref.data(), &leaf, &rc));
+  bool leaf;
+  Pgno rc;
+  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
   if (pos < cells.size()) {
     cells.erase(cells.begin() + pos);
   } else if (!cells.empty()) {
@@ -484,13 +521,15 @@ StatusOr<int64_t> BTree::MaxRowid() {
   Pgno pgno = root_;
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
-    if (leaf) {
-      return cells.empty() ? 0 : cells.back().rowid;
+    XFTL_ASSIGN_OR_RETURN(PageHeader header, ReadHeader(ref.data()));
+    CellView last;
+    size_t off = kPageHeader;
+    for (uint16_t i = 0; i < header.ncells; ++i) {
+      if (!ViewCell(ref.data(), header.leaf, off, &last)) return CellOverrun();
+      off = last.next;
     }
-    pgno = rc != kNoPgno ? rc : cells.back().child;
+    if (header.leaf) return last.rowid;  // 0 when the leaf is empty
+    pgno = header.right_child != kNoPgno ? header.right_child : last.child;
   }
 }
 
@@ -498,80 +537,43 @@ StatusOr<int64_t> BTree::MaxRowid() {
 // cursor
 // ---------------------------------------------------------------------------
 
-Status BTree::Cursor::DescendLeftmost(Pgno pgno) {
+Status BTree::Cursor::Descend(Pgno pgno, const Probe* probe) {
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
-    stack_.push_back({pgno, 0});
-    if (leaf) {
-      if (!cells.empty()) {
+    XFTL_ASSIGN_OR_RETURN(PageHeader header, tree_->ReadHeader(ref.data()));
+    XFTL_ASSIGN_OR_RETURN(Slot slot, tree_->Locate(ref.data(), header, probe));
+    stack_.push_back({pgno, slot.pos, slot.off});
+    if (header.leaf) {
+      if (slot.pos < header.ncells) {
         valid_ = true;
         return Status::OK();
       }
       return AdvanceFromLeafEnd();
     }
-    pgno = cells.empty() ? rc : cells[0].child;
+    pgno = slot.pos < header.ncells ? slot.cell.child : header.right_child;
   }
 }
 
 Status BTree::Cursor::First() {
   stack_.clear();
   valid_ = false;
-  return DescendLeftmost(tree_->root_);
+  return Descend(tree_->root_, nullptr);
 }
 
 Status BTree::Cursor::SeekGE(int64_t rowid) {
   CHECK(!tree_->is_index_);
   stack_.clear();
   valid_ = false;
-  Pgno pgno = tree_->root_;
-  while (true) {
-    XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
-    size_t pos = 0;
-    for (; pos < cells.size(); ++pos) {
-      if (tree_->CompareToCell(rowid, nullptr, cells[pos]) <= 0) break;
-    }
-    stack_.push_back({pgno, int(pos)});
-    if (leaf) {
-      if (pos < cells.size()) {
-        valid_ = true;
-        return Status::OK();
-      }
-      return AdvanceFromLeafEnd();
-    }
-    pgno = pos < cells.size() ? cells[pos].child : rc;
-  }
+  const Probe probe{rowid, nullptr};
+  return Descend(tree_->root_, &probe);
 }
 
 Status BTree::Cursor::SeekGEKey(const std::vector<uint8_t>& key) {
   CHECK(tree_->is_index_);
   stack_.clear();
   valid_ = false;
-  Pgno pgno = tree_->root_;
-  while (true) {
-    XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
-    size_t pos = 0;
-    for (; pos < cells.size(); ++pos) {
-      if (tree_->CompareToCell(0, &key, cells[pos]) <= 0) break;
-    }
-    stack_.push_back({pgno, int(pos)});
-    if (leaf) {
-      if (pos < cells.size()) {
-        valid_ = true;
-        return Status::OK();
-      }
-      return AdvanceFromLeafEnd();
-    }
-    pgno = pos < cells.size() ? cells[pos].child : rc;
-  }
+  const Probe probe{0, &key};
+  return Descend(tree_->root_, &probe);
 }
 
 Status BTree::Cursor::AdvanceFromLeafEnd() {
@@ -581,13 +583,24 @@ Status BTree::Cursor::AdvanceFromLeafEnd() {
   while (!stack_.empty()) {
     Frame& f = stack_.back();
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
+    XFTL_ASSIGN_OR_RETURN(PageHeader header, tree_->ReadHeader(ref.data()));
+    CellView cell;
+    if (f.index < header.ncells) {  // step past the exhausted subtree's cell
+      if (!tree_->ViewCell(ref.data(), header.leaf, f.off, &cell)) {
+        return CellOverrun();
+      }
+      f.off = cell.next;
+    }
     f.index++;
-    if (f.index <= int(cells.size())) {
-      Pgno child = f.index < int(cells.size()) ? cells[f.index].child : rc;
-      return DescendLeftmost(child);
+    if (f.index <= header.ncells) {
+      Pgno child = header.right_child;
+      if (f.index < header.ncells) {
+        if (!tree_->ViewCell(ref.data(), header.leaf, f.off, &cell)) {
+          return CellOverrun();
+        }
+        child = cell.child;
+      }
+      return Descend(child, nullptr);
     }
     stack_.pop_back();
   }
@@ -599,11 +612,14 @@ Status BTree::Cursor::Next() {
   CHECK(valid_);
   Frame& f = stack_.back();
   XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(PageHeader header, tree_->ReadHeader(ref.data()));
+  CellView cell;
+  if (!tree_->ViewCell(ref.data(), header.leaf, f.off, &cell)) {
+    return CellOverrun();
+  }
+  f.off = cell.next;
   f.index++;
-  if (f.index < int(cells.size())) return Status::OK();
+  if (f.index < header.ncells) return Status::OK();
   valid_ = false;
   return AdvanceFromLeafEnd();
 }
@@ -613,22 +629,29 @@ int64_t BTree::Cursor::rowid() const {
   const Frame& f = stack_.back();
   auto ref = tree_->pager_->Get(f.pgno);
   CHECK(ref.ok());
-  bool leaf;
-  Pgno rc;
-  auto cells = tree_->ReadCells(ref.value().data(), &leaf, &rc);
-  CHECK(cells.ok());
-  return cells.value()[f.index].rowid;
+  auto header = tree_->ReadHeader(ref->data());
+  CHECK(header.ok());
+  CellView cell;
+  CHECK(tree_->ViewCell(ref->data(), header->leaf, f.off, &cell));
+  return cell.rowid;
 }
 
 StatusOr<std::vector<uint8_t>> BTree::Cursor::Payload() {
   CHECK(valid_);
   const Frame& f = stack_.back();
   XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(PageHeader header, tree_->ReadHeader(ref.data()));
+  CellView cell;
+  if (!tree_->ViewCell(ref.data(), header.leaf, f.off, &cell)) {
+    return CellOverrun();
+  }
+  // Copy the local part out before the pin goes; the chain follows.
+  std::vector<uint8_t> out;
+  out.reserve(cell.payload_total);
+  out.assign(cell.local, cell.local + cell.local_size);
   ref = PageRef();
-  return tree_->AssemblePayload(cells[f.index]);
+  return tree_->AssemblePayload(std::move(out), cell.payload_total,
+                                cell.overflow);
 }
 
 }  // namespace xftl::sql

@@ -87,6 +87,12 @@ StatusOr<RawPage> DecodePage(Pager* pager, Pgno pgno, bool is_index) {
     }
     out.cells.push_back(std::move(cell));
   }
+  // The form every writer leaves: zero header pad and zero bytes after the
+  // last cell.
+  if (p[7] != 0 || p[8] != 0) return Corrupt(pgno, "header pad not zero");
+  for (size_t i = off; i < page_size; ++i) {
+    if (p[i] != 0) return Corrupt(pgno, "bytes after the last cell not zero");
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
 // Structural integrity checker for B+trees: uniform leaf depth, in-order
-// keys, separator invariants, acyclicity, and intact overflow chains. Used
+// keys, separator invariants, acyclicity, intact overflow chains, and zero
+// bytes in each page's header pad and after its last cell. Used
 // by tests after heavy churn and crash recovery, and available to
 // applications as a consistency check (like SQLite's integrity_check
 // pragma).

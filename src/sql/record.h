@@ -5,8 +5,8 @@
 //     int  -> 8 bytes LE        real -> 8 bytes LE (IEEE)
 //     text -> u32 len + bytes   blob -> u32 len + bytes
 //
-// Records are compared by decoding (Value::Compare), not memcmp, so the
-// encoding only needs to round-trip.
+// Records are compared value by value in Value::Compare order, not by
+// memcmp, so the encoding only needs to round-trip.
 #ifndef XFTL_SQL_RECORD_H_
 #define XFTL_SQL_RECORD_H_
 
@@ -29,8 +29,9 @@ inline StatusOr<Row> DecodeRecord(const std::vector<uint8_t>& buf) {
   return DecodeRecord(buf.data(), buf.size());
 }
 
-// Lexicographic comparison of two encoded records by decoded Values,
-// element-wise; shorter record sorts first on ties.
+// Lexicographic comparison of two encoded records, value by value in
+// Value::Compare order, read in place without decoding; shorter record sorts
+// first on ties. CHECK-fails when either record is malformed.
 int CompareEncodedRecords(const uint8_t* a, size_t a_size, const uint8_t* b,
                           size_t b_size);
 

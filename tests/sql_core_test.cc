@@ -4,7 +4,9 @@
 
 #include <cstring>
 #include <map>
+#include <set>
 
+#include "common/coding.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "fs/ext_fs.h"
@@ -653,47 +655,164 @@ TEST_F(BTreeTest, IndexPrefixSeek) {
   EXPECT_EQ(row[1].AsInt(), 1);
 }
 
-TEST_F(BTreeTest, RandomisedModelCheck) {
-  auto root = BTree::Create(pager_.get(), false);
-  ASSERT_TRUE(root.ok());
-  BTree tree(pager_.get(), *root, false);
-  std::map<int64_t, int64_t> model;
-  Rng rng(7);
-  for (int op = 0; op < 3000; ++op) {
-    int64_t k = int64_t(rng.Uniform(400));
-    int action = int(rng.Uniform(3));
-    if (action < 2) {
-      int64_t tag = int64_t(op);
-      ASSERT_TRUE(tree.Insert(k, Payload(tag)).ok());
-      model[k] = tag;
-    } else if (!model.empty()) {
-      Status s = tree.Delete(k);
-      if (model.count(k) != 0) {
-        ASSERT_TRUE(s.ok());
-        model.erase(k);
-      } else {
-        ASSERT_TRUE(s.IsNotFound());
-      }
-    }
-  }
-  // Full comparison with the model.
-  auto cursor = tree.NewCursor();
+// Compares a full scan of a table tree with the model, then checks the
+// tree's structure (which includes the zeroed page tails in-place edits must
+// keep).
+void ExpectTableMatches(BTree* tree, Pager* pager,
+                        const std::map<int64_t, std::vector<uint8_t>>& model) {
+  auto cursor = tree->NewCursor();
   ASSERT_TRUE(cursor.First().ok());
   auto it = model.begin();
   while (cursor.valid()) {
     ASSERT_NE(it, model.end());
     EXPECT_EQ(cursor.rowid(), it->first);
-    auto row = DecodeRecord(cursor.Payload().value()).value();
-    EXPECT_EQ(row[0].AsInt(), it->second);
+    EXPECT_EQ(cursor.Payload().value(), it->second) << it->first;
     ++it;
     ASSERT_TRUE(cursor.Next().ok());
   }
   EXPECT_EQ(it, model.end());
-
-  // Structural invariants hold after all that churn.
-  auto report = CheckBTree(pager_.get(), *root, /*is_index=*/false);
+  auto report = CheckBTree(pager, tree->root(), /*is_index=*/false);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->cells, model.size());
+}
+
+TEST_F(BTreeTest, RandomisedModelCheck) {
+  auto root = BTree::Create(pager_.get(), false);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, false);
+  // Payloads run from a few bytes to a few overflow pages, so replaces grow,
+  // shrink, spill to overflow pages and free chains.
+  std::map<int64_t, std::vector<uint8_t>> model;
+  Rng rng(7);
+  for (int op = 0; op < 3000; ++op) {
+    int64_t k = int64_t(rng.Uniform(400));
+    if (rng.Uniform(3) < 2) {
+      size_t size = rng.Uniform(4) == 0 ? 200 + rng.Uniform(2500)
+                                        : rng.Uniform(120);
+      std::vector<uint8_t> payload = Payload(op, size);
+      Status s = tree.Insert(k, payload);
+      ASSERT_TRUE(s.ok()) << s.ToString() << " op " << op;
+      model[k] = std::move(payload);
+    } else {
+      Status s = tree.Delete(k);
+      if (model.erase(k) != 0) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      } else {
+        ASSERT_TRUE(s.IsNotFound()) << s.ToString();
+      }
+    }
+    if (op % 100 == 99) {
+      // Commit so the rollback journal stays small and pages reload.
+      ASSERT_TRUE(pager_->Commit().ok());
+      ASSERT_TRUE(pager_->Begin().ok());
+      ASSERT_NO_FATAL_FAILURE(ExpectTableMatches(&tree, pager_.get(), model))
+          << "after op " << op;
+    }
+  }
+  EXPECT_EQ(tree.MaxRowid().value(), model.empty() ? 0 : model.rbegin()->first);
+  auto report = CheckBTree(pager_.get(), *root, /*is_index=*/false);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->depth, 1u);
+  EXPECT_GT(report->overflow_pages, 0u);
+}
+
+// Orders encoded keys by their decoded Values, independently of
+// CompareEncodedRecords.
+struct DecodedKeyLess {
+  bool operator()(const std::vector<uint8_t>& a,
+                  const std::vector<uint8_t>& b) const {
+    Row x = DecodeRecord(a).value();
+    Row y = DecodeRecord(b).value();
+    for (size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
+      int c = x[i].Compare(y[i]);
+      if (c != 0) return c < 0;
+    }
+    return x.size() < y.size();
+  }
+};
+
+// A random index key over every value type: small ints and reals that can
+// equal them, short texts with shared prefixes and a few long ones, blobs
+// with bytes on both sides of 0x80, and a second column that is sometimes
+// absent (a shorter record sorts first on ties).
+std::vector<uint8_t> RandomIndexKey(Rng* rng) {
+  Row key;
+  switch (rng->Uniform(5)) {
+    case 0:
+      key.push_back(Value::Null());
+      break;
+    case 1:
+      key.push_back(Value::Int(int64_t(rng->Uniform(30)) - 10));
+      break;
+    case 2:
+      key.push_back(Value::Real((double(rng->Uniform(60)) - 20) / 2));
+      break;
+    case 3: {
+      std::string text(rng->Uniform(8) == 0 ? 100 + rng->Uniform(100)
+                                            : rng->Uniform(6),
+                       'a');
+      for (char& c : text) c = char('a' + rng->Uniform(2));
+      key.push_back(Value::Text(text));
+      break;
+    }
+    default: {
+      static constexpr uint8_t kBytes[] = {0x00, 0x7f, 0x80, 0xff};
+      std::vector<uint8_t> blob(rng->Uniform(5));
+      for (uint8_t& b : blob) b = kBytes[rng->Uniform(4)];
+      key.push_back(Value::Blob(blob));
+      break;
+    }
+  }
+  if (rng->Uniform(4) != 0) {
+    key.push_back(Value::Int(int64_t(rng->Uniform(20))));
+  }
+  return EncodeRecord(key);
+}
+
+TEST_F(BTreeTest, RandomisedIndexModelCheck) {
+  auto root = BTree::Create(pager_.get(), true);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, true);
+  std::set<std::vector<uint8_t>, DecodedKeyLess> model;
+  Rng rng(11);
+  for (int op = 0; op < 3000; ++op) {
+    std::vector<uint8_t> key = RandomIndexKey(&rng);
+    int action = int(rng.Uniform(3));
+    if (action == 2 && !model.empty() && rng.Uniform(2) == 0) {
+      key = *std::next(model.begin(), rng.Uniform(model.size()));
+    }
+    if (action < 2) {
+      // An equal key (say 3 against 3.0) is replaced by the new bytes.
+      ASSERT_TRUE(tree.InsertKey(key).ok());
+      model.erase(key);
+      model.insert(key);
+    } else {
+      Status s = tree.DeleteKey(key);
+      if (model.erase(key) != 0) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      } else {
+        ASSERT_TRUE(s.IsNotFound()) << s.ToString();
+      }
+    }
+    if (op % 100 != 99) continue;
+    auto cursor = tree.NewCursor();
+    ASSERT_TRUE(cursor.First().ok());
+    auto it = model.begin();
+    while (cursor.valid()) {
+      ASSERT_NE(it, model.end());
+      EXPECT_EQ(cursor.Payload().value(), *it);
+      ++it;
+      ASSERT_TRUE(cursor.Next().ok());
+    }
+    EXPECT_EQ(it, model.end());
+    auto report = CheckBTree(pager_.get(), *root, /*is_index=*/true);
+    ASSERT_TRUE(report.ok()) << report.status().ToString() << " after op "
+                             << op;
+    EXPECT_EQ(report->cells, model.size());
+  }
+  auto report = CheckBTree(pager_.get(), *root, /*is_index=*/true);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->depth, 1u);
 }
 
 TEST_F(BTreeTest, CheckerDetectsCorruption) {
@@ -717,6 +836,62 @@ TEST_F(BTreeTest, CheckerDetectsCorruption) {
   *ref = PageRef();
   auto corrupt = CheckBTree(pager_.get(), *root, false);
   EXPECT_FALSE(corrupt.ok());
+}
+
+TEST_F(BTreeTest, CellsPastPageEndAreCorruption) {
+  auto root = BTree::Create(pager_.get(), false);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, false);
+  for (int64_t k = 1; k <= 5; ++k) {
+    ASSERT_TRUE(tree.Insert(k, Payload(k)).ok());
+  }
+  auto poke16 = [&](size_t off, uint16_t v) {
+    auto ref = pager_->Get(*root);
+    ASSERT_TRUE(ref.ok());
+    ASSERT_TRUE(ref->MarkDirty().ok());
+    EncodeFixed16(ref->data() + off, v);
+  };
+  // Every entry point must refuse the page rather than read past its end.
+  auto expect_corruption = [&](const std::string& what) {
+    auto cursor = tree.NewCursor();
+    EXPECT_TRUE(cursor.First().IsCorruption()) << what;
+    EXPECT_TRUE(cursor.SeekGE(3).IsCorruption()) << what;
+    EXPECT_TRUE(tree.Insert(6, Payload(6)).IsCorruption()) << what;
+    EXPECT_TRUE(tree.Delete(2).IsCorruption()) << what;
+    EXPECT_TRUE(tree.MaxRowid().status().IsCorruption()) << what;
+  };
+  // A cell count far past the cells the leaf holds.
+  poke16(1, 255);
+  expect_corruption("cell count");
+  poke16(1, 5);
+  // The last cell's local length, so that no later cell's header is what
+  // runs out. A cell is rowid(8) payload_total(4) local_size(2) overflow(4)
+  // and the local bytes.
+  const size_t cell_size = 8 + 10 + Payload(1).size();
+  poke16(9 + 4 * cell_size + 8 + 4, 0xffff);
+  expect_corruption("local length");
+}
+
+TEST_F(BTreeTest, OverflowPastPageEndIsCorruption) {
+  auto root = BTree::Create(pager_.get(), false);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, false);
+  ASSERT_TRUE(tree.Insert(1, Payload(1, 3000)).ok());
+  // The leaf's one cell: rowid(8) payload_total(4) local_size(2) overflow(4).
+  auto leaf = pager_->Get(*root);
+  ASSERT_TRUE(leaf.ok());
+  Pgno first = DecodeFixed32(leaf->data() + 9 + 8 + 6);
+  *leaf = PageRef();
+  ASSERT_NE(first, kNoPgno);
+  // An overflow page's length field: type(1) pad(3) next(4) len(4).
+  auto ovfl = pager_->Get(first);
+  ASSERT_TRUE(ovfl.ok());
+  ASSERT_TRUE(ovfl->MarkDirty().ok());
+  EncodeFixed32(ovfl->data() + 8, 0xffffffffu);
+  *ovfl = PageRef();
+  auto cursor = tree.NewCursor();
+  ASSERT_TRUE(cursor.First().ok());
+  EXPECT_TRUE(cursor.Payload().status().IsCorruption());
 }
 
 TEST_F(BTreeTest, DropReleasesPages) {
