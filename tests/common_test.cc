@@ -167,6 +167,40 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
 
 TEST(Crc32Test, EmptyInput) { EXPECT_EQ(Crc32c("", 0), 0u); }
 
+// One bytewise CRC-32C step, independent of the library's tables.
+uint32_t ReferenceCrcStep(uint32_t state, uint8_t byte) {
+  state ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    state = (state >> 1) ^ ((state & 1) ? 0x82f63b78u : 0);
+  }
+  return state;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  constexpr size_t kMaxLen = 9000;
+  Rng rng(21);
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  rng.FillBytes(buf.data(), buf.size());
+  // Every length at every word alignment, extending a nonzero init.
+  constexpr uint32_t kInit = 0x9e3779b9u;
+  for (size_t start = 0; start < 8; ++start) {
+    uint32_t state = ~kInit;  // reference over buf[start, start + len)
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32c(buf.data() + start, len, kInit), ~state)
+          << "start " << start << " len " << len;
+      if (len < kMaxLen) state = ReferenceCrcStep(state, buf[start + len]);
+    }
+  }
+  // Split and chain: a tail's CRC extending its head's is the whole CRC.
+  const uint32_t whole = Crc32c(buf.data(), kMaxLen);
+  for (size_t split = 0; split <= kMaxLen; ++split) {
+    ASSERT_EQ(Crc32c(buf.data() + split, kMaxLen - split,
+                     Crc32c(buf.data(), split)),
+              whole)
+        << "split " << split;
+  }
+}
+
 TEST(CodingTest, RoundTrip) {
   uint8_t buf[8];
   EncodeFixed16(buf, 0xBEEF);
