@@ -113,28 +113,59 @@ int BTree::CompareToCell(const Probe& probe, const CellView& cell) const {
   return probe.rowid < cell.rowid ? -1 : (probe.rowid > cell.rowid ? 1 : 0);
 }
 
-StatusOr<BTree::Slot> BTree::Locate(const uint8_t* page,
-                                    const PageHeader& header,
-                                    const Probe* probe) const {
-  Slot slot;
-  slot.pos = header.ncells;
+StatusOr<const CellIndex*> BTree::IndexCells(PageRef* ref,
+                                             const PageHeader& header,
+                                             CellIndex* scratch) const {
+  CellIndex* index = ref->cell_index();
+  if (index == nullptr) index = scratch;
+  if (index->built()) {
+    DCHECK_EQ(index->offsets.size(), header.ncells) << "stale cell index";
+    return index;
+  }
+  // Cells start before the page end, so a 64 KiB page keeps them in range.
+  DCHECK_LE(pager_->page_size(), 65536u);
+  index->offsets.resize(header.ncells);
   size_t off = kPageHeader;
-  for (int i = 0; i < header.ncells; ++i) {
+  for (uint16_t i = 0; i < header.ncells; ++i) {
     CellView cell;
-    if (!ViewCell(page, header.leaf, off, &cell)) return CellOverrun();
-    if (slot.pos == header.ncells) {
-      int cmp = probe == nullptr ? -1 : CompareToCell(*probe, cell);
-      if (cmp <= 0) {
-        slot.pos = i;
-        slot.off = off;
-        slot.cmp = cmp;
-        slot.cell = cell;
-      }
+    if (!ViewCell(ref->data(), header.leaf, off, &cell)) {
+      index->Clear();
+      return CellOverrun();
     }
+    index->offsets[i] = uint16_t(off);
     off = cell.next;
   }
-  slot.end = off;
-  if (slot.pos == header.ncells) slot.off = off;
+  index->end = uint32_t(off);
+  return index;
+}
+
+StatusOr<BTree::Slot> BTree::Locate(PageRef* ref, const PageHeader& header,
+                                    const Probe* probe) const {
+  CellIndex scratch;
+  XFTL_ASSIGN_OR_RETURN(const CellIndex* cells,
+                        IndexCells(ref, header, &scratch));
+  // Bisect for the first cell whose key is >= the probe; without a probe
+  // that is cell 0.
+  Slot slot;
+  int lo = 0;
+  int hi = header.ncells;
+  while (lo < hi) {
+    const int mid = probe == nullptr ? lo : lo + (hi - lo) / 2;
+    CellView cell;
+    // IndexCells bounds-checked every cell.
+    (void)ViewCell(ref->data(), header.leaf, cells->offsets[mid], &cell);
+    const int cmp = probe == nullptr ? -1 : CompareToCell(*probe, cell);
+    if (cmp <= 0) {
+      hi = mid;
+      slot.cmp = cmp;
+      slot.cell = cell;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  slot.pos = hi;
+  slot.end = cells->end;
+  slot.off = hi < header.ncells ? cells->offsets[hi] : cells->end;
   return slot;
 }
 
@@ -336,7 +367,7 @@ StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
   XFTL_ASSIGN_OR_RETURN(PageHeader header, ReadHeader(ref.data()));
   const Probe probe{cell.rowid, &cell.local};
-  XFTL_ASSIGN_OR_RETURN(Slot slot, Locate(ref.data(), header, &probe));
+  XFTL_ASSIGN_OR_RETURN(Slot slot, Locate(&ref, header, &probe));
 
   if (header.leaf) {
     // An equal key is replaced; otherwise the cell goes before the slot.
@@ -451,7 +482,7 @@ Status BTree::DeleteFrom(Pgno pgno, const Probe& probe, bool* emptied) {
   *emptied = false;
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
   XFTL_ASSIGN_OR_RETURN(PageHeader header, ReadHeader(ref.data()));
-  XFTL_ASSIGN_OR_RETURN(Slot slot, Locate(ref.data(), header, &probe));
+  XFTL_ASSIGN_OR_RETURN(Slot slot, Locate(&ref, header, &probe));
 
   if (header.leaf) {
     if (slot.cmp != 0) return Status::NotFound("btree entry not found");
@@ -522,11 +553,12 @@ StatusOr<int64_t> BTree::MaxRowid() {
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
     XFTL_ASSIGN_OR_RETURN(PageHeader header, ReadHeader(ref.data()));
+    CellIndex scratch;
+    XFTL_ASSIGN_OR_RETURN(const CellIndex* cells,
+                          IndexCells(&ref, header, &scratch));
     CellView last;
-    size_t off = kPageHeader;
-    for (uint16_t i = 0; i < header.ncells; ++i) {
-      if (!ViewCell(ref.data(), header.leaf, off, &last)) return CellOverrun();
-      off = last.next;
+    if (header.ncells > 0) {
+      (void)ViewCell(ref.data(), header.leaf, cells->offsets.back(), &last);
     }
     if (header.leaf) return last.rowid;  // 0 when the leaf is empty
     pgno = header.right_child != kNoPgno ? header.right_child : last.child;
@@ -541,7 +573,7 @@ Status BTree::Cursor::Descend(Pgno pgno, const Probe* probe) {
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
     XFTL_ASSIGN_OR_RETURN(PageHeader header, tree_->ReadHeader(ref.data()));
-    XFTL_ASSIGN_OR_RETURN(Slot slot, tree_->Locate(ref.data(), header, probe));
+    XFTL_ASSIGN_OR_RETURN(Slot slot, tree_->Locate(&ref, header, probe));
     stack_.push_back({pgno, slot.pos, slot.off});
     if (header.leaf) {
       if (slot.pos < header.ncells) {

@@ -20,6 +20,12 @@
 // shifts the page's cells in place. A page's cell list is decoded into owned
 // Cells only when its shape changes: splits, the separator insert after a
 // child split, and unlinking an emptied child.
+//
+// The page format has no cell-offset array, so a seek, insert or delete
+// finds its slot through the frame's CellIndex (sql/pager.h): one
+// bounds-checked walk of every cell on the first visit to a cached frame,
+// then a binary search on every visit. The pager drops the index in
+// MarkDirty, which every edit of a page goes through.
 #ifndef XFTL_SQL_BTREE_H_
 #define XFTL_SQL_BTREE_H_
 
@@ -157,9 +163,13 @@ class BTree {
                 CellView* cell) const;
   // Writes `cell` at `dst` and returns its size.
   size_t EncodeCell(uint8_t* dst, bool leaf, const Cell& cell) const;
-  // Bounds-checks every cell and finds the probe's slot (slot 0 when
-  // `probe` is null).
-  StatusOr<Slot> Locate(const uint8_t* page, const PageHeader& header,
+  // The frame's cell index, built with a bounds-checked walk of every cell
+  // if the frame has none yet; a snapshot ref's goes into *scratch.
+  StatusOr<const CellIndex*> IndexCells(PageRef* ref, const PageHeader& header,
+                                        CellIndex* scratch) const;
+  // Bisects the page's cell index for the probe's slot (slot 0 when `probe`
+  // is null).
+  StatusOr<Slot> Locate(PageRef* ref, const PageHeader& header,
                         const Probe* probe) const;
 
   // Whole cell lists, for splits and unlinks only.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_set>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -34,18 +35,23 @@ const char* SqlJournalModeName(SqlJournalMode mode) {
 // ---------------------------------------------------------------------------
 
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
-  if (pager_ != nullptr && !snap_) pager_->Unpin(pgno_);
+  Unpin();
   pager_ = other.pager_;
   pgno_ = other.pgno_;
   data_ = other.data_;
-  snap_ = other.snap_;
+  frame_ = other.frame_;
   other.pager_ = nullptr;
   other.data_ = nullptr;
+  other.frame_ = nullptr;
   return *this;
 }
 
-PageRef::~PageRef() {
-  if (pager_ != nullptr && !snap_) pager_->Unpin(pgno_);
+PageRef::~PageRef() { Unpin(); }
+
+void PageRef::Unpin() {
+  if (frame_ == nullptr) return;
+  DCHECK_GT(frame_->pins, 0);
+  frame_->pins--;
 }
 
 Status PageRef::MarkDirty() {
@@ -167,7 +173,7 @@ Status Pager::LoadHeader() {
 }
 
 Status Pager::WriteHeader() {
-  XFTL_ASSIGN_OR_RETURN(CacheEntry * e, FetchPage(1));
+  XFTL_ASSIGN_OR_RETURN(PageFrame * e, FetchPage(1));
   e->pins++;  // keep alive across MarkPageDirty
   Status s = MarkPageDirty(1);
   if (s.ok()) {
@@ -220,16 +226,14 @@ Status Pager::Close() {
 // cache
 // ---------------------------------------------------------------------------
 
-StatusOr<Pager::CacheEntry*> Pager::FetchPage(Pgno pgno) {
+StatusOr<PageFrame*> Pager::FetchPage(Pgno pgno) {
   auto it = cache_.find(pgno);
   if (it != cache_.end()) {
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(pgno);
-    it->second.lru_it = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return &it->second;
   }
   XFTL_RETURN_IF_ERROR(EvictIfNeeded());
-  CacheEntry& e = cache_[pgno];
+  PageFrame& e = cache_[pgno];
   e.data.resize(page_size_);
   Status read = ReadPageFromFiles(pgno, e.data.data());
   if (!read.ok()) {
@@ -255,7 +259,7 @@ Status Pager::EvictIfNeeded() {
       }
     }
     if (victim == kNoPgno) return Status::OK();  // all pinned: grow
-    CacheEntry& e = cache_.at(victim);
+    PageFrame& e = cache_.at(victim);
     if (e.dirty) {
       // Steal: the uncommitted page leaves the cache.
       stats_.cache_steals++;
@@ -278,18 +282,18 @@ Status Pager::EvictIfNeeded() {
           XFTL_RETURN_IF_ERROR(WritePageToDb(victim, e.data.data()));
           break;
       }
+      // Commit and Rollback no longer see the page, so dirtied_ stays as
+      // short as the cache even when a transaction outgrows it.
+      auto listed = std::find(dirtied_.begin(), dirtied_.end(), victim);
+      if (listed != dirtied_.end()) {
+        *listed = dirtied_.back();
+        dirtied_.pop_back();
+      }
     }
     lru_.erase(e.lru_it);
     cache_.erase(victim);
   }
   return Status::OK();
-}
-
-void Pager::Unpin(Pgno pgno) {
-  auto it = cache_.find(pgno);
-  if (it == cache_.end()) return;
-  DCHECK_GT(it->second.pins, 0);
-  it->second.pins--;
 }
 
 StatusOr<PageRef> Pager::Get(Pgno pgno) {
@@ -300,9 +304,8 @@ StatusOr<PageRef> Pager::Get(Pgno pgno) {
   if (read_txn_) {
     // Read transactions bypass the main cache: its entries may be newer
     // (another connection's commits already read back) or older than the
-    // snapshot. Pages land in the per-transaction cache instead; the ref is
-    // marked snap so its destructor cannot unpin a main-cache entry that
-    // happens to share the pgno.
+    // snapshot. Pages land in the per-transaction cache instead, and the
+    // ref has no frame to pin.
     auto it = snap_cache_.find(pgno);
     if (it == snap_cache_.end()) {
       std::vector<uint8_t> buf(page_size_);
@@ -310,23 +313,26 @@ StatusOr<PageRef> Pager::Get(Pgno pgno) {
       stats_.page_reads++;
       it = snap_cache_.emplace(pgno, std::move(buf)).first;
     }
-    return PageRef(this, pgno, it->second.data(), /*snap=*/true);
+    return PageRef(this, pgno, it->second.data(), /*frame=*/nullptr);
   }
-  XFTL_ASSIGN_OR_RETURN(CacheEntry * e, FetchPage(pgno));
+  XFTL_ASSIGN_OR_RETURN(PageFrame * e, FetchPage(pgno));
   e->pins++;
-  return PageRef(this, pgno, e->data.data());
+  return PageRef(this, pgno, e->data.data(), e);
 }
 
 Status Pager::MarkPageDirty(Pgno pgno) {
   if (!in_txn_) return Status::FailedPrecondition("no open transaction");
   auto it = cache_.find(pgno);
   CHECK(it != cache_.end()) << "dirtying a page that is not cached";
-  CacheEntry& e = it->second;
+  PageFrame& e = it->second;
+  // The caller is about to write the frame: its cell index goes stale.
+  e.cells.Clear();
   if (options_.journal_mode == SqlJournalMode::kDelete && !e.journaled) {
     // Save the transaction-start version before the first modification.
     XFTL_RETURN_IF_ERROR(JournalOriginal(pgno, e.data.data()));
     e.journaled = true;
   }
+  if (!e.dirty) dirtied_.push_back(pgno);
   e.dirty = true;
   return Status::OK();
 }
@@ -390,12 +396,12 @@ StatusOr<PageRef> Pager::Allocate() {
   XFTL_RETURN_IF_ERROR(WriteHeader());
   // Fresh page: no file read.
   XFTL_RETURN_IF_ERROR(EvictIfNeeded());
-  CacheEntry& e = cache_[pgno];
+  PageFrame& e = cache_[pgno];
   e.data.assign(page_size_, 0);
   lru_.push_front(pgno);
   e.lru_it = lru_.begin();
   e.pins = 1;
-  PageRef ref(this, pgno, e.data.data());
+  PageRef ref(this, pgno, e.data.data(), &e);
   XFTL_RETURN_IF_ERROR(ref.MarkDirty());
   return ref;
 }
@@ -496,11 +502,14 @@ Status Pager::Commit() {
   if (read_txn_) return EndReadOnly();
   if (!in_txn_) return Status::FailedPrecondition("no open transaction");
   SimNanos t0 = fs_->clock()->Now();
+  // The cached pages this transaction dirtied, in pgno order.
   std::vector<Pgno> dirty;
-  for (auto& [pgno, e] : cache_) {
-    if (e.dirty) dirty.push_back(pgno);
+  for (Pgno pgno : dirtied_) {
+    auto it = cache_.find(pgno);
+    if (it != cache_.end() && it->second.dirty) dirty.push_back(pgno);
   }
   std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
   switch (options_.journal_mode) {
     case SqlJournalMode::kDelete: {
@@ -510,7 +519,7 @@ Status Pager::Commit() {
       // journal - the transaction-completion point.
       XFTL_RETURN_IF_ERROR(SyncJournal(/*finalize=*/true));
       for (Pgno pgno : dirty) {
-        CacheEntry& e = cache_.at(pgno);
+        PageFrame& e = cache_.at(pgno);
         XFTL_RETURN_IF_ERROR(WritePageToDb(pgno, e.data.data()));
       }
       XFTL_RETURN_IF_ERROR(SyncFd(db_fd_, /*datasync=*/false));
@@ -525,7 +534,7 @@ Status Pager::Commit() {
     case SqlJournalMode::kWal: {
       if (dirty.empty() && wal_uncommitted_.empty()) break;
       for (size_t i = 0; i < dirty.size(); ++i) {
-        CacheEntry& e = cache_.at(dirty[i]);
+        PageFrame& e = cache_.at(dirty[i]);
         bool last = i + 1 == dirty.size();
         XFTL_RETURN_IF_ERROR(AppendWalFrame(
             dirty[i], e.data.data(), last ? page_count_ : 0));
@@ -533,7 +542,7 @@ Status Pager::Commit() {
       if (dirty.empty()) {
         // Everything was stolen into the WAL already; emit a pure commit
         // frame for page 1 so recovery sees the boundary.
-        XFTL_ASSIGN_OR_RETURN(CacheEntry * e, FetchPage(1));
+        XFTL_ASSIGN_OR_RETURN(PageFrame * e, FetchPage(1));
         XFTL_RETURN_IF_ERROR(
             AppendWalFrame(1, e->data.data(), page_count_));
       }
@@ -559,7 +568,7 @@ Status Pager::Commit() {
       // TxCommit underneath) — as on Linux SQLite, timestamp-only inode
       // churn stays out of the device transaction.
       for (Pgno pgno : dirty) {
-        CacheEntry& e = cache_.at(pgno);
+        PageFrame& e = cache_.at(pgno);
         XFTL_RETURN_IF_ERROR(WritePageToDb(pgno, e.data.data()));
       }
       XFTL_RETURN_IF_ERROR(SyncFd(db_fd_, /*datasync=*/true));
@@ -567,7 +576,9 @@ Status Pager::Commit() {
       break;
     }
   }
-  for (auto& [pgno, e] : cache_) e.journaled = false;
+  // A journaled page is a dirty one, so this clears every journaled bit.
+  for (Pgno pgno : dirty) cache_.at(pgno).journaled = false;
+  dirtied_.clear();
   in_txn_ = false;
   stats_.commits++;
   TraceSql(trace::Op::kCommit, t0, dirty.size(), StatusCode::kOk);
@@ -605,20 +616,22 @@ Status Pager::Rollback() {
     }
   }
   // Drop all dirty pages; clean versions reload on demand.
-  std::vector<Pgno> drop;
-  for (auto& [pgno, e] : cache_) {
-    if (e.dirty || e.journaled) drop.push_back(pgno);
+  uint64_t dropped = 0;
+  for (Pgno pgno : dirtied_) {
+    auto it = cache_.find(pgno);
+    if (it == cache_.end() || !(it->second.dirty || it->second.journaled)) {
+      continue;  // stolen, or listed twice
+    }
+    CHECK_EQ(it->second.pins, 0) << "rolling back a pinned page";
+    lru_.erase(it->second.lru_it);
+    cache_.erase(it);
+    dropped++;
   }
-  for (Pgno pgno : drop) {
-    CacheEntry& e = cache_.at(pgno);
-    CHECK_EQ(e.pins, 0) << "rolling back a pinned page";
-    lru_.erase(e.lru_it);
-    cache_.erase(pgno);
-  }
+  dirtied_.clear();
   in_txn_ = false;
   stats_.rollbacks++;
   XFTL_RETURN_IF_ERROR(LoadHeader());
-  TraceSql(trace::Op::kRollback, t0, drop.size(), StatusCode::kOk);
+  TraceSql(trace::Op::kRollback, t0, dropped, StatusCode::kOk);
   return Status::OK();
 }
 
@@ -709,6 +722,9 @@ Status Pager::ReplayHotJournal() {
       DecodeFixed32(hdr.data() + 8) == page_size_) {
     uint32_t nrec = DecodeFixed32(hdr.data() + 4);
     std::vector<uint8_t> rec(8 + page_size_);
+    // A page stolen and dirtied again in one transaction is journaled again,
+    // as it then was; only its first record holds the original.
+    std::unordered_set<Pgno> restored;
     for (uint32_t i = 0; i < nrec; ++i) {
       uint64_t off = uint64_t(page_size_) + uint64_t(i) * (8 + page_size_);
       XFTL_ASSIGN_OR_RETURN(
@@ -719,6 +735,7 @@ Status Pager::ReplayHotJournal() {
       if (crc != Crc32c(rec.data() + 4, page_size_, Crc32c(rec.data(), 4))) {
         break;  // torn record; everything before it is still valid
       }
+      if (!restored.insert(pgno).second) continue;
       XFTL_RETURN_IF_ERROR(WritePageToDb(pgno, rec.data() + 4));
       cache_.erase(pgno);  // drop any stale cached copy
     }

@@ -74,6 +74,32 @@ struct PagerStats {
 
 class Pager;
 
+// Where the cells of one B-tree page lie: each cell's byte offset, in cell
+// order, and the offset one past the last cell. sql::BTree fills it with one
+// bounds-checked walk the first time it visits a cached frame and bisects it
+// on later visits. The pager drops it in MarkPageDirty, which every write to
+// a frame goes through, and with the frame itself.
+struct CellIndex {
+  std::vector<uint16_t> offsets;
+  uint32_t end = 0;  // 0 until built (cells start past the page header)
+
+  bool built() const { return end != 0; }
+  void Clear() {
+    offsets.clear();
+    end = 0;
+  }
+};
+
+// One page of the pager's cache.
+struct PageFrame {
+  std::vector<uint8_t> data;
+  bool dirty = false;
+  bool journaled = false;  // original content saved to rollback journal
+  int pins = 0;
+  std::list<Pgno>::iterator lru_it;
+  CellIndex cells;
+};
+
 // RAII pinned reference to a cached page.
 class PageRef {
  public:
@@ -88,22 +114,27 @@ class PageRef {
   Pgno pgno() const { return pgno_; }
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
+  // The frame's cell index; null for a snapshot ref, which has no frame to
+  // keep one.
+  CellIndex* cell_index() const {
+    return frame_ == nullptr ? nullptr : &frame_->cells;
+  }
   // Declares intent to modify; journals the original content first when the
-  // mode requires it.
+  // mode requires it, and drops the frame's cell index.
   Status MarkDirty();
 
  private:
   friend class Pager;
-  PageRef(Pager* pager, Pgno pgno, uint8_t* data, bool snap = false)
-      : pager_(pager), pgno_(pgno), data_(data), snap_(snap) {}
+  PageRef(Pager* pager, Pgno pgno, uint8_t* data, PageFrame* frame)
+      : pager_(pager), pgno_(pgno), data_(data), frame_(frame) {}
+  void Unpin();
 
   Pager* pager_ = nullptr;
   Pgno pgno_ = 0;
   uint8_t* data_ = nullptr;
-  // A ref into the read-transaction snapshot cache holds no pin on the main
-  // cache; destruction must not decrement a main-cache entry that happens
-  // to share the pgno.
-  bool snap_ = false;
+  // The pinned frame; null for a ref into the read-transaction snapshot
+  // cache, which holds no pin.
+  PageFrame* frame_ = nullptr;
 };
 
 class Pager {
@@ -174,14 +205,6 @@ class Pager {
     }
   }
 
-  struct CacheEntry {
-    std::vector<uint8_t> data;
-    bool dirty = false;
-    bool journaled = false;  // original content saved to rollback journal
-    int pins = 0;
-    std::list<Pgno>::iterator lru_it;
-  };
-
   Pager(fs::ExtFs* fs, std::string db_path, const PagerOptions& options);
 
   uint32_t fs_page_size() const;
@@ -190,9 +213,8 @@ class Pager {
   Status LoadHeader();
   Status WriteHeader();         // updates cached page 1 + marks dirty
 
-  StatusOr<CacheEntry*> FetchPage(Pgno pgno);
+  StatusOr<PageFrame*> FetchPage(Pgno pgno);
   Status EvictIfNeeded();
-  void Unpin(Pgno pgno);
   Status MarkPageDirty(Pgno pgno);
 
   // Reads a page's current committed content (WAL-aware).
@@ -243,8 +265,12 @@ class Pager {
   uint64_t snap_epoch_ = 0;
   std::unordered_map<Pgno, std::vector<uint8_t>> snap_cache_;
 
-  std::unordered_map<Pgno, CacheEntry> cache_;
+  std::unordered_map<Pgno, PageFrame> cache_;
   std::list<Pgno> lru_;
+  // The cached pages MarkPageDirty turned dirty in the open write
+  // transaction, unordered: what Commit and Rollback visit instead of the
+  // whole cache. A steal takes its page off the list.
+  std::vector<Pgno> dirtied_;
 
   // Rollback-journal state.
   fs::Fd journal_fd_ = -1;

@@ -292,6 +292,40 @@ TEST_P(PagerTest, StealThenRollbackRestoresPages) {
   }
 }
 
+TEST_P(PagerTest, StealRedirtyThenRollbackRestoresPages) {
+  // A page stolen, read back and dirtied again in the same transaction: in
+  // delete mode it is journaled a second time, holding the stolen version,
+  // and rollback must still restore the transaction-start one.
+  auto pager = OpenPager();
+  ASSERT_TRUE(pager->Begin().ok());
+  std::vector<Pgno> pages;
+  for (int i = 0; i < 100; ++i) {
+    auto ref = pager->Allocate();
+    ASSERT_TRUE(ref.ok());
+    ref->data()[0] = 0x11;
+    pages.push_back(ref->pgno());
+  }
+  ASSERT_TRUE(pager->Commit().ok());
+
+  ASSERT_TRUE(pager->Begin().ok());
+  for (uint8_t pass : {0x22, 0x33}) {
+    for (Pgno pgno : pages) {
+      auto ref = pager->Get(pgno);
+      ASSERT_TRUE(ref.ok());
+      ASSERT_TRUE(ref->MarkDirty().ok());
+      ref->data()[0] = pass;
+    }
+  }
+  EXPECT_GT(pager->stats().cache_steals, 0u);
+  ASSERT_TRUE(pager->Rollback().ok());
+
+  for (Pgno pgno : pages) {
+    auto ref = pager->Get(pgno);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(ref->data()[0], 0x11) << "page " << pgno;
+  }
+}
+
 TEST_P(PagerTest, CommittedDataSurvivesCrash) {
   {
     auto pager = OpenPager();
@@ -460,11 +494,7 @@ class BTreeTest : public ::testing::Test {
     auto fs = fs::ExtFs::Mount(ssd_.device(), fs_opt, &clock_);
     CHECK(fs.ok());
     fs_ = std::move(fs).value();
-    PagerOptions opt;
-    opt.cache_pages = 64;
-    auto pager = Pager::Open(fs_.get(), "bt.db", opt);
-    CHECK(pager.ok());
-    pager_ = std::move(pager).value();
+    pager_ = OpenPager("bt.db", 64);
     CHECK(pager_->Begin().ok());
   }
 
@@ -472,9 +502,23 @@ class BTreeTest : public ::testing::Test {
     if (pager_->in_transaction()) CHECK(pager_->Commit().ok());
   }
 
+  std::unique_ptr<Pager> OpenPager(const std::string& path,
+                                   uint32_t cache_pages) {
+    PagerOptions opt;
+    opt.cache_pages = cache_pages;
+    auto pager = Pager::Open(fs_.get(), path, opt);
+    CHECK(pager.ok());
+    return std::move(pager).value();
+  }
+
   std::vector<uint8_t> Payload(int64_t tag, size_t size = 32) {
     return EncodeRecord({Value::Int(tag), Value::Text(std::string(size, 'p'))});
   }
+
+  // Random inserts, replaces and deletes against a model; see the tests.
+  void TableModelCheck(Pager* pager);
+  void IndexModelCheck(Pager* pager);
+  void CheckCellOverrunIsCorruption(bool seek_first);
 
   SimClock clock_;
   storage::SimSsd ssd_;
@@ -676,15 +720,37 @@ void ExpectTableMatches(BTree* tree, Pager* pager,
   EXPECT_EQ(report->cells, model.size());
 }
 
-TEST_F(BTreeTest, RandomisedModelCheck) {
-  auto root = BTree::Create(pager_.get(), false);
+// Seeks `tree` to the first rowid >= `key` and compares with the model.
+void ExpectSeekMatches(BTree* tree,
+                       const std::map<int64_t, std::vector<uint8_t>>& model,
+                       int64_t key) {
+  auto cursor = tree->NewCursor();
+  ASSERT_TRUE(cursor.SeekGE(key).ok());
+  auto it = model.lower_bound(key);
+  ASSERT_EQ(cursor.valid(), it != model.end()) << "seek " << key;
+  if (it == model.end()) return;
+  EXPECT_EQ(cursor.rowid(), it->first) << "seek " << key;
+  EXPECT_EQ(cursor.Payload().value(), it->second) << "seek " << key;
+}
+
+// After every operation a seek to a present and to an absent key must land
+// where the model says, and every 100 operations the transaction commits or,
+// one time in four, rolls back (the model with it) before a full scan and
+// CheckBTree. The seeks are what find a cell index left stale by an edit, a
+// split, an unlink, an eviction or a rollback.
+void BTreeTest::TableModelCheck(Pager* pager) {
+  auto root = BTree::Create(pager, false);
   ASSERT_TRUE(root.ok());
-  BTree tree(pager_.get(), *root, false);
+  ASSERT_TRUE(pager->Commit().ok());
+  ASSERT_TRUE(pager->Begin().ok());
+  BTree tree(pager, *root, false);
   // Payloads run from a few bytes to a few overflow pages, so replaces grow,
   // shrink, spill to overflow pages and free chains.
   std::map<int64_t, std::vector<uint8_t>> model;
+  std::map<int64_t, std::vector<uint8_t>> committed;
   Rng rng(7);
   for (int op = 0; op < 3000; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
     int64_t k = int64_t(rng.Uniform(400));
     if (rng.Uniform(3) < 2) {
       size_t size = rng.Uniform(4) == 0 ? 200 + rng.Uniform(2500)
@@ -701,19 +767,47 @@ TEST_F(BTreeTest, RandomisedModelCheck) {
         ASSERT_TRUE(s.IsNotFound()) << s.ToString();
       }
     }
+    if (!model.empty()) {
+      auto present = std::next(model.begin(), rng.Uniform(model.size()));
+      ASSERT_NO_FATAL_FAILURE(ExpectSeekMatches(&tree, model, present->first));
+    }
+    int64_t absent = int64_t(rng.Uniform(401));  // keys are below 400
+    while (model.count(absent) != 0) absent++;
+    ASSERT_NO_FATAL_FAILURE(ExpectSeekMatches(&tree, model, absent));
     if (op % 100 == 99) {
-      // Commit so the rollback journal stays small and pages reload.
-      ASSERT_TRUE(pager_->Commit().ok());
-      ASSERT_TRUE(pager_->Begin().ok());
-      ASSERT_NO_FATAL_FAILURE(ExpectTableMatches(&tree, pager_.get(), model))
-          << "after op " << op;
+      // End the transaction so the rollback journal stays small and pages
+      // reload.
+      if (rng.Uniform(4) == 0) {
+        ASSERT_TRUE(pager->Rollback().ok());
+        model = committed;
+      } else {
+        ASSERT_TRUE(pager->Commit().ok());
+        committed = model;
+      }
+      ASSERT_TRUE(pager->Begin().ok());
+      ASSERT_NO_FATAL_FAILURE(ExpectTableMatches(&tree, pager, model));
     }
   }
   EXPECT_EQ(tree.MaxRowid().value(), model.empty() ? 0 : model.rbegin()->first);
-  auto report = CheckBTree(pager_.get(), *root, /*is_index=*/false);
+  auto report = CheckBTree(pager, *root, /*is_index=*/false);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->depth, 1u);
   EXPECT_GT(report->overflow_pages, 0u);
+  EXPECT_GT(pager->stats().rollbacks, 0u);
+}
+
+TEST_F(BTreeTest, RandomisedModelCheck) {
+  TableModelCheck(pager_.get());
+}
+
+// The same with a cache so small that pages are stolen mid-transaction and
+// read back, and rollbacks replay the journal.
+TEST_F(BTreeTest, RandomisedModelCheckEvictingCache) {
+  auto pager = OpenPager("bt_small.db", 6);
+  ASSERT_TRUE(pager->Begin().ok());
+  TableModelCheck(pager.get());
+  EXPECT_GT(pager->stats().cache_steals, 0u);
+  ASSERT_TRUE(pager->Commit().ok());
 }
 
 // Orders encoded keys by their decoded Values, independently of
@@ -769,13 +863,31 @@ std::vector<uint8_t> RandomIndexKey(Rng* rng) {
   return EncodeRecord(key);
 }
 
-TEST_F(BTreeTest, RandomisedIndexModelCheck) {
-  auto root = BTree::Create(pager_.get(), true);
+using IndexModel = std::set<std::vector<uint8_t>, DecodedKeyLess>;
+
+// Seeks `tree` to the first key >= `key` and compares with the model.
+void ExpectKeySeekMatches(BTree* tree, const IndexModel& model,
+                          const std::vector<uint8_t>& key) {
+  auto cursor = tree->NewCursor();
+  ASSERT_TRUE(cursor.SeekGEKey(key).ok());
+  auto it = model.lower_bound(key);
+  ASSERT_EQ(cursor.valid(), it != model.end());
+  if (it == model.end()) return;
+  EXPECT_EQ(cursor.Payload().value(), *it);
+}
+
+// As TableModelCheck, on an index tree.
+void BTreeTest::IndexModelCheck(Pager* pager) {
+  auto root = BTree::Create(pager, true);
   ASSERT_TRUE(root.ok());
-  BTree tree(pager_.get(), *root, true);
-  std::set<std::vector<uint8_t>, DecodedKeyLess> model;
+  ASSERT_TRUE(pager->Commit().ok());
+  ASSERT_TRUE(pager->Begin().ok());
+  BTree tree(pager, *root, true);
+  IndexModel model;
+  IndexModel committed;
   Rng rng(11);
   for (int op = 0; op < 3000; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
     std::vector<uint8_t> key = RandomIndexKey(&rng);
     int action = int(rng.Uniform(3));
     if (action == 2 && !model.empty() && rng.Uniform(2) == 0) {
@@ -794,7 +906,22 @@ TEST_F(BTreeTest, RandomisedIndexModelCheck) {
         ASSERT_TRUE(s.IsNotFound()) << s.ToString();
       }
     }
+    if (!model.empty()) {
+      ASSERT_NO_FATAL_FAILURE(ExpectKeySeekMatches(
+          &tree, model, *std::next(model.begin(), rng.Uniform(model.size()))));
+    }
+    std::vector<uint8_t> absent = RandomIndexKey(&rng);
+    while (model.count(absent) != 0) absent = RandomIndexKey(&rng);
+    ASSERT_NO_FATAL_FAILURE(ExpectKeySeekMatches(&tree, model, absent));
     if (op % 100 != 99) continue;
+    if (rng.Uniform(4) == 0) {
+      ASSERT_TRUE(pager->Rollback().ok());
+      model = committed;
+    } else {
+      ASSERT_TRUE(pager->Commit().ok());
+      committed = model;
+    }
+    ASSERT_TRUE(pager->Begin().ok());
     auto cursor = tree.NewCursor();
     ASSERT_TRUE(cursor.First().ok());
     auto it = model.begin();
@@ -805,14 +932,26 @@ TEST_F(BTreeTest, RandomisedIndexModelCheck) {
       ASSERT_TRUE(cursor.Next().ok());
     }
     EXPECT_EQ(it, model.end());
-    auto report = CheckBTree(pager_.get(), *root, /*is_index=*/true);
-    ASSERT_TRUE(report.ok()) << report.status().ToString() << " after op "
-                             << op;
+    auto report = CheckBTree(pager, *root, /*is_index=*/true);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->cells, model.size());
   }
-  auto report = CheckBTree(pager_.get(), *root, /*is_index=*/true);
+  auto report = CheckBTree(pager, *root, /*is_index=*/true);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->depth, 1u);
+  EXPECT_GT(pager->stats().rollbacks, 0u);
+}
+
+TEST_F(BTreeTest, RandomisedIndexModelCheck) {
+  IndexModelCheck(pager_.get());
+}
+
+TEST_F(BTreeTest, RandomisedIndexModelCheckEvictingCache) {
+  auto pager = OpenPager("bt_small_index.db", 6);
+  ASSERT_TRUE(pager->Begin().ok());
+  IndexModelCheck(pager.get());
+  EXPECT_GT(pager->stats().cache_steals, 0u);
+  ASSERT_TRUE(pager->Commit().ok());
 }
 
 TEST_F(BTreeTest, CheckerDetectsCorruption) {
@@ -838,7 +977,10 @@ TEST_F(BTreeTest, CheckerDetectsCorruption) {
   EXPECT_FALSE(corrupt.ok());
 }
 
-TEST_F(BTreeTest, CellsPastPageEndAreCorruption) {
+// Pokes the root leaf of a five-row table so that its cells run past the
+// page end, two ways. With `seek_first`, a seek has indexed the page's cells
+// before each poke, so the poke's MarkDirty must drop that index.
+void BTreeTest::CheckCellOverrunIsCorruption(bool seek_first) {
   auto root = BTree::Create(pager_.get(), false);
   ASSERT_TRUE(root.ok());
   BTree tree(pager_.get(), *root, false);
@@ -851,6 +993,14 @@ TEST_F(BTreeTest, CellsPastPageEndAreCorruption) {
     ASSERT_TRUE(ref->MarkDirty().ok());
     EncodeFixed16(ref->data() + off, v);
   };
+  auto corrupt16 = [&](size_t off, uint16_t v) {
+    if (seek_first) {
+      auto cursor = tree.NewCursor();
+      ASSERT_TRUE(cursor.SeekGE(3).ok());
+      ASSERT_TRUE(pager_->Get(*root)->cell_index()->built());
+    }
+    poke16(off, v);
+  };
   // Every entry point must refuse the page rather than read past its end.
   auto expect_corruption = [&](const std::string& what) {
     auto cursor = tree.NewCursor();
@@ -861,15 +1011,23 @@ TEST_F(BTreeTest, CellsPastPageEndAreCorruption) {
     EXPECT_TRUE(tree.MaxRowid().status().IsCorruption()) << what;
   };
   // A cell count far past the cells the leaf holds.
-  poke16(1, 255);
+  ASSERT_NO_FATAL_FAILURE(corrupt16(1, 255));
   expect_corruption("cell count");
-  poke16(1, 5);
+  ASSERT_NO_FATAL_FAILURE(poke16(1, 5));
   // The last cell's local length, so that no later cell's header is what
   // runs out. A cell is rowid(8) payload_total(4) local_size(2) overflow(4)
   // and the local bytes.
   const size_t cell_size = 8 + 10 + Payload(1).size();
-  poke16(9 + 4 * cell_size + 8 + 4, 0xffff);
+  ASSERT_NO_FATAL_FAILURE(corrupt16(9 + 4 * cell_size + 8 + 4, 0xffff));
   expect_corruption("local length");
+}
+
+TEST_F(BTreeTest, CellsPastPageEndAreCorruption) {
+  CheckCellOverrunIsCorruption(/*seek_first=*/false);
+}
+
+TEST_F(BTreeTest, CellsPastPageEndAfterSeekAreCorruption) {
+  CheckCellOverrunIsCorruption(/*seek_first=*/true);
 }
 
 TEST_F(BTreeTest, OverflowPastPageEndIsCorruption) {
