@@ -4,6 +4,7 @@
 #include <cctype>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "sql/btree.h"
@@ -26,14 +27,160 @@ bool NameEq(const std::string& a, const std::string& b) {
          });
 }
 
-// One table instance visible to expression evaluation.
-struct CtxEntry {
+// Operators, bound from Expr::op once per statement.
+enum class Op : uint8_t {
+  kUnknown,
+  // binary
+  kAnd, kOr, kEq, kNe, kLt, kLe, kGt, kGe, kLike, kConcat,
+  kAdd, kSub, kMul, kDiv, kMod,
+  // unary
+  kNeg, kNot, kIsNull, kIsNotNull,
+};
+
+// Functions, bound from Expr::func (upper-cased by the parser).
+enum class Fn : uint8_t {
+  kUnknown,
+  kCount, kSum, kAvg, kTotal, kMin, kMax,  // aggregates (MIN/MAX: one arg)
+  kLength, kAbs, kUpper, kLower, kCoalesce, kIfNull, kSubstr,
+};
+
+template <typename E>
+struct Named {
+  const char* name;
+  E value;
+};
+
+constexpr Named<Op> kBinaryOps[] = {
+    {"AND", Op::kAnd},   {"OR", Op::kOr},    {"=", Op::kEq},
+    {"!=", Op::kNe},     {"<", Op::kLt},     {"<=", Op::kLe},
+    {">", Op::kGt},      {">=", Op::kGe},    {"LIKE", Op::kLike},
+    {"||", Op::kConcat}, {"+", Op::kAdd},    {"-", Op::kSub},
+    {"*", Op::kMul},     {"/", Op::kDiv},    {"%", Op::kMod},
+};
+constexpr Named<Op> kUnaryOps[] = {
+    {"-", Op::kNeg},
+    {"NOT", Op::kNot},
+    {"ISNULL", Op::kIsNull},
+    {"ISNOTNULL", Op::kIsNotNull},
+};
+constexpr Named<Fn> kFunctions[] = {
+    {"COUNT", Fn::kCount},       {"SUM", Fn::kSum},
+    {"AVG", Fn::kAvg},           {"TOTAL", Fn::kTotal},
+    {"MIN", Fn::kMin},           {"MAX", Fn::kMax},
+    {"LENGTH", Fn::kLength},     {"ABS", Fn::kAbs},
+    {"UPPER", Fn::kUpper},       {"LOWER", Fn::kLower},
+    {"COALESCE", Fn::kCoalesce}, {"IFNULL", Fn::kIfNull},
+    {"SUBSTR", Fn::kSubstr},
+};
+
+template <typename E, size_t N>
+E Lookup(const Named<E> (&table)[N], const std::string& name) {
+  for (const Named<E>& entry : table) {
+    if (name == entry.name) return entry.value;
+  }
+  return E::kUnknown;
+}
+
+// The column slot that reads a source's rowid.
+constexpr int kRowid = -1;
+
+// One table instance a statement reads: the FROM table, each join, or the
+// target of an UPDATE or DELETE.
+struct Source {
   std::string alias;  // lower-cased
   const TableInfo* table = nullptr;
+};
+
+// A parsed expression bound to its statement's sources before any row is
+// read: a column reference holds its source and column, an operator or a
+// function its enum, so evaluating a row looks up no name and compares no
+// string.
+struct BoundExpr {
+  const Expr* expr = nullptr;  // the parsed node: literal, names, messages
+  Op op = Op::kUnknown;        // unary and binary nodes
+  Fn fn = Fn::kUnknown;        // function nodes
+  // Column references: the source's position (-1 when no source has the
+  // name, which fails only when evaluated) and the column or kRowid.
+  int source = -1;
+  int column = kRowid;
+  int agg = -1;  // aggregate nodes: slot among the statement's aggregates
+  std::vector<BoundExpr> kids;  // lhs, rhs and args, in that order
+};
+
+// Binds a column reference by the name rules: an unqualified name is the
+// first source that has it, a qualified one the first source with that
+// alias; `rowid` reads that source's rowid, and so does a column aliasing it.
+void BindColumn(const Expr& e, const std::vector<Source>& sources,
+                BoundExpr* b) {
+  const std::string want = Lower(e.table);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const Source& src = sources[i];
+    if (!want.empty() && src.alias != want) continue;
+    if (NameEq(e.column, "rowid")) {
+      b->source = int(i);
+      return;
+    }
+    int idx = src.table->ColumnIndex(e.column);
+    if (idx >= 0) {
+      b->source = int(i);
+      b->column = idx == src.table->rowid_alias ? kRowid : idx;
+      return;
+    }
+    if (!want.empty()) return;
+  }
+}
+
+BoundExpr Bind(const Expr& e, const std::vector<Source>& sources) {
+  BoundExpr b;
+  b.expr = &e;
+  switch (e.kind) {
+    case Expr::Kind::kColumn:
+      BindColumn(e, sources, &b);
+      break;
+    case Expr::Kind::kUnary:
+      b.op = Lookup(kUnaryOps, e.op);
+      break;
+    case Expr::Kind::kBinary:
+      b.op = Lookup(kBinaryOps, e.op);
+      break;
+    case Expr::Kind::kFunction:
+      b.fn = Lookup(kFunctions, e.func);
+      break;
+    default:
+      break;
+  }
+  if (e.lhs != nullptr) b.kids.push_back(Bind(*e.lhs, sources));
+  if (e.rhs != nullptr) b.kids.push_back(Bind(*e.rhs, sources));
+  for (const auto& a : e.args) b.kids.push_back(Bind(*a, sources));
+  return b;
+}
+
+// True when every column `b` reads is bound to one of the first `n` sources.
+bool ReadsOnlyFirst(const BoundExpr& b, int n) {
+  if (b.expr->kind == Expr::Kind::kColumn && (b.source < 0 || b.source >= n)) {
+    return false;
+  }
+  for (const BoundExpr& kid : b.kids) {
+    if (!ReadsOnlyFirst(kid, n)) return false;
+  }
+  return true;
+}
+
+// The row of each source bound so far, in source order: a prefix of the
+// statement's sources.
+struct RowEntry {
   const Row* row = nullptr;
   int64_t rowid = 0;
 };
-using RowContext = std::vector<CtxEntry>;
+using RowContext = std::vector<RowEntry>;
+
+// A conjunct `column = value` that may bind a column of one source, given
+// rows of the sources before it.
+struct Candidate {
+  size_t conjunct;         // position in the conjunct list
+  int column;              // column position or kRowid
+  const BoundExpr* value;  // reads only the sources before this one
+};
 
 // SQL LIKE with % and _, ASCII case-insensitive.
 bool LikeMatch(const std::string& pattern, const std::string& text,
@@ -98,261 +245,282 @@ class Executor {
 
   // --- expression evaluation ------------------------------------------------
 
-  StatusOr<Value> Eval(const Expr& e, const RowContext& ctx) {
-    switch (e.kind) {
+  StatusOr<Value> Eval(const BoundExpr& b, const RowContext& ctx) {
+    switch (b.expr->kind) {
       case Expr::Kind::kLiteral:
-        return e.literal;
+        return b.expr->literal;
       case Expr::Kind::kColumn:
-        return ResolveColumn(e, ctx);
+        return ColumnValue(b, ctx);
       case Expr::Kind::kUnary:
-        return EvalUnary(e, ctx);
+        return EvalUnary(b, ctx);
       case Expr::Kind::kBinary:
-        return EvalBinary(e, ctx);
+        return EvalBinary(b, ctx);
       case Expr::Kind::kFunction:
-        if (agg_values_ != nullptr && IsAggregate(e)) {
-          auto it = agg_values_->find(&e);
-          if (it != agg_values_->end()) return it->second;
-        }
-        return EvalScalarFunction(e, ctx);
+        if (agg_values_ != nullptr && b.agg >= 0) return (*agg_values_)[b.agg];
+        return EvalScalarFunction(b, ctx);
       case Expr::Kind::kStar:
         return Status::InvalidArgument("'*' not valid in this context");
     }
     return Status::InvalidArgument("bad expression");
   }
 
-  StatusOr<Value> ResolveColumn(const Expr& e, const RowContext& ctx) {
-    std::string want_table = Lower(e.table);
-    for (const CtxEntry& entry : ctx) {
-      if (!want_table.empty() && entry.alias != want_table) continue;
-      if (NameEq(e.column, "rowid")) return Value::Int(entry.rowid);
-      int idx = entry.table->ColumnIndex(e.column);
-      if (idx >= 0) {
-        if (idx == entry.table->rowid_alias) return Value::Int(entry.rowid);
-        if (idx < int(entry.row->size())) return (*entry.row)[idx];
-        return Value::Null();
+  // A reference fails when its source has no row yet, which is also how an
+  // unresolved name fails.
+  static StatusOr<Value> ColumnValue(const BoundExpr& b,
+                                     const RowContext& ctx) {
+    if (b.source < 0 || b.source >= int(ctx.size())) {
+      const Expr& e = *b.expr;
+      return Status::NotFound(
+          "no such column: " +
+          (e.table.empty() ? e.column : e.table + "." + e.column));
+    }
+    const RowEntry& entry = ctx[b.source];
+    if (b.column == kRowid) return Value::Int(entry.rowid);
+    if (b.column < int(entry.row->size())) return (*entry.row)[b.column];
+    return Value::Null();
+  }
+
+  StatusOr<Value> EvalUnary(const BoundExpr& b, const RowContext& ctx) {
+    XFTL_ASSIGN_OR_RETURN(Value v, Eval(b.kids[0], ctx));
+    switch (b.op) {
+      case Op::kNeg:
+        if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
+        return Value::Real(-v.AsReal());
+      case Op::kNot:
+        return Value::Int(v.Truthy() ? 0 : 1);
+      case Op::kIsNull:
+        return Value::Int(v.is_null() ? 1 : 0);
+      case Op::kIsNotNull:
+        return Value::Int(v.is_null() ? 0 : 1);
+      default:
+        return Status::InvalidArgument("bad unary operator " + b.expr->op);
+    }
+  }
+
+  StatusOr<Value> EvalBinary(const BoundExpr& b, const RowContext& ctx) {
+    if (b.op == Op::kAnd || b.op == Op::kOr) {
+      // AND stops at a false left side, OR at a true one.
+      const bool is_or = b.op == Op::kOr;
+      XFTL_ASSIGN_OR_RETURN(Value l, Eval(b.kids[0], ctx));
+      if (l.Truthy() == is_or) return Value::Int(is_or ? 1 : 0);
+      XFTL_ASSIGN_OR_RETURN(Value r, Eval(b.kids[1], ctx));
+      return Value::Int(r.Truthy() ? 1 : 0);
+    }
+    XFTL_ASSIGN_OR_RETURN(Value l, Eval(b.kids[0], ctx));
+    XFTL_ASSIGN_OR_RETURN(Value r, Eval(b.kids[1], ctx));
+    switch (b.op) {
+      case Op::kEq:
+      case Op::kNe:
+      case Op::kLt:
+      case Op::kLe:
+      case Op::kGt:
+      case Op::kGe: {
+        if (l.is_null() || r.is_null()) return Value::Null();
+        const int c = l.Compare(r);
+        const bool result = (b.op == Op::kEq && c == 0) ||
+                            (b.op == Op::kNe && c != 0) ||
+                            (b.op == Op::kLt && c < 0) ||
+                            (b.op == Op::kLe && c <= 0) ||
+                            (b.op == Op::kGt && c > 0) ||
+                            (b.op == Op::kGe && c >= 0);
+        return Value::Int(result ? 1 : 0);
       }
-      if (!want_table.empty()) break;
-    }
-    return Status::NotFound("no such column: " +
-                            (e.table.empty() ? e.column
-                                             : e.table + "." + e.column));
-  }
-
-  StatusOr<Value> EvalUnary(const Expr& e, const RowContext& ctx) {
-    XFTL_ASSIGN_OR_RETURN(Value v, Eval(*e.rhs, ctx));
-    if (e.op == "-") {
-      if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
-      return Value::Real(-v.AsReal());
-    }
-    if (e.op == "NOT") return Value::Int(v.Truthy() ? 0 : 1);
-    if (e.op == "ISNULL") return Value::Int(v.is_null() ? 1 : 0);
-    if (e.op == "ISNOTNULL") return Value::Int(v.is_null() ? 0 : 1);
-    return Status::InvalidArgument("bad unary operator " + e.op);
-  }
-
-  StatusOr<Value> EvalBinary(const Expr& e, const RowContext& ctx) {
-    if (e.op == "AND") {
-      XFTL_ASSIGN_OR_RETURN(Value l, Eval(*e.lhs, ctx));
-      if (!l.Truthy()) return Value::Int(0);
-      XFTL_ASSIGN_OR_RETURN(Value r, Eval(*e.rhs, ctx));
-      return Value::Int(r.Truthy() ? 1 : 0);
-    }
-    if (e.op == "OR") {
-      XFTL_ASSIGN_OR_RETURN(Value l, Eval(*e.lhs, ctx));
-      if (l.Truthy()) return Value::Int(1);
-      XFTL_ASSIGN_OR_RETURN(Value r, Eval(*e.rhs, ctx));
-      return Value::Int(r.Truthy() ? 1 : 0);
-    }
-    XFTL_ASSIGN_OR_RETURN(Value l, Eval(*e.lhs, ctx));
-    XFTL_ASSIGN_OR_RETURN(Value r, Eval(*e.rhs, ctx));
-    if (e.op == "=" || e.op == "!=" || e.op == "<" || e.op == "<=" ||
-        e.op == ">" || e.op == ">=") {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      int c = l.Compare(r);
-      bool result = (e.op == "=" && c == 0) || (e.op == "!=" && c != 0) ||
-                    (e.op == "<" && c < 0) || (e.op == "<=" && c <= 0) ||
-                    (e.op == ">" && c > 0) || (e.op == ">=" && c >= 0);
-      return Value::Int(result ? 1 : 0);
-    }
-    if (e.op == "LIKE") {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return Value::Int(LikeMatch(r.AsText(), l.AsText()) ? 1 : 0);
-    }
-    if (e.op == "||") {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return Value::Text(l.AsText() + r.AsText());
+      case Op::kLike:
+        if (l.is_null() || r.is_null()) return Value::Null();
+        return Value::Int(LikeMatch(r.AsText(), l.AsText()) ? 1 : 0);
+      case Op::kConcat:
+        if (l.is_null() || r.is_null()) return Value::Null();
+        return Value::Text(l.AsText() + r.AsText());
+      default:
+        break;
     }
     if (l.is_null() || r.is_null()) return Value::Null();
     bool ints =
         l.type() == ValueType::kInt && r.type() == ValueType::kInt;
-    if (e.op == "+") {
-      return ints ? Value::Int(l.AsInt() + r.AsInt())
-                  : Value::Real(l.AsReal() + r.AsReal());
-    }
-    if (e.op == "-") {
-      return ints ? Value::Int(l.AsInt() - r.AsInt())
-                  : Value::Real(l.AsReal() - r.AsReal());
-    }
-    if (e.op == "*") {
-      return ints ? Value::Int(l.AsInt() * r.AsInt())
-                  : Value::Real(l.AsReal() * r.AsReal());
-    }
-    if (e.op == "/") {
-      if (ints) {
-        if (r.AsInt() == 0) return Value::Null();
-        return Value::Int(l.AsInt() / r.AsInt());
-      }
-      if (r.AsReal() == 0.0) return Value::Null();
-      return Value::Real(l.AsReal() / r.AsReal());
-    }
-    if (e.op == "%") {
-      if (r.AsInt() == 0) return Value::Null();
-      return Value::Int(l.AsInt() % r.AsInt());
-    }
-    return Status::InvalidArgument("bad binary operator " + e.op);
-  }
-
-  StatusOr<Value> EvalScalarFunction(const Expr& e, const RowContext& ctx) {
-    auto arg = [&](size_t i) -> StatusOr<Value> {
-      if (i >= e.args.size()) {
-        return Status::InvalidArgument(e.func + ": missing argument");
-      }
-      return Eval(*e.args[i], ctx);
-    };
-    if (e.func == "LENGTH") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kBlob) return Value::Int(v.blob().size());
-      return Value::Int(int64_t(v.AsText().size()));
-    }
-    if (e.func == "ABS") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value::Int(std::abs(v.AsInt()));
-      return Value::Real(std::abs(v.AsReal()));
-    }
-    if (e.func == "UPPER" || e.func == "LOWER") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value::Null();
-      std::string s = v.AsText();
-      for (char& c : s) {
-        c = e.func == "UPPER" ? char(std::toupper(c)) : char(std::tolower(c));
-      }
-      return Value::Text(std::move(s));
-    }
-    if (e.func == "COALESCE" || e.func == "IFNULL") {
-      for (const auto& a : e.args) {
-        XFTL_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
-        if (!v.is_null()) return v;
-      }
-      return Value::Null();
-    }
-    if (e.func == "SUBSTR") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      XFTL_ASSIGN_OR_RETURN(Value from, arg(1));
-      if (v.is_null()) return Value::Null();
-      std::string s = v.AsText();
-      int64_t start = std::max<int64_t>(1, from.AsInt()) - 1;
-      int64_t len = int64_t(s.size()) - start;
-      if (e.args.size() > 2) {
-        XFTL_ASSIGN_OR_RETURN(Value lv, arg(2));
-        len = lv.AsInt();
-      }
-      if (start >= int64_t(s.size()) || len <= 0) return Value::Text("");
-      return Value::Text(s.substr(size_t(start), size_t(len)));
-    }
-    if (e.func == "MIN" || e.func == "MAX") {
-      // Scalar form with 2+ args (the 1-arg form is an aggregate).
-      if (e.args.size() >= 2) {
-        XFTL_ASSIGN_OR_RETURN(Value best, arg(0));
-        for (size_t i = 1; i < e.args.size(); ++i) {
-          XFTL_ASSIGN_OR_RETURN(Value v, arg(i));
-          int c = v.Compare(best);
-          if ((e.func == "MIN" && c < 0) || (e.func == "MAX" && c > 0)) {
-            best = v;
-          }
+    switch (b.op) {
+      case Op::kAdd:
+        return ints ? Value::Int(l.AsInt() + r.AsInt())
+                    : Value::Real(l.AsReal() + r.AsReal());
+      case Op::kSub:
+        return ints ? Value::Int(l.AsInt() - r.AsInt())
+                    : Value::Real(l.AsReal() - r.AsReal());
+      case Op::kMul:
+        return ints ? Value::Int(l.AsInt() * r.AsInt())
+                    : Value::Real(l.AsReal() * r.AsReal());
+      case Op::kDiv:
+        if (ints) {
+          if (r.AsInt() == 0) return Value::Null();
+          return Value::Int(l.AsInt() / r.AsInt());
         }
-        return best;
+        if (r.AsReal() == 0.0) return Value::Null();
+        return Value::Real(l.AsReal() / r.AsReal());
+      case Op::kMod:
+        if (r.AsInt() == 0) return Value::Null();
+        return Value::Int(l.AsInt() % r.AsInt());
+      default:
+        return Status::InvalidArgument("bad binary operator " + b.expr->op);
+    }
+  }
+
+  StatusOr<Value> EvalScalarFunction(const BoundExpr& b,
+                                     const RowContext& ctx) {
+    const std::string& func = b.expr->func;
+    auto arg = [&](size_t i) -> StatusOr<Value> {
+      if (i >= b.kids.size()) {
+        return Status::InvalidArgument(func + ": missing argument");
       }
+      return Eval(b.kids[i], ctx);
+    };
+    switch (b.fn) {
+      case Fn::kLength: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        if (v.is_null()) return Value::Null();
+        if (v.type() == ValueType::kBlob) return Value::Int(v.blob().size());
+        return Value::Int(int64_t(v.AsText().size()));
+      }
+      case Fn::kAbs: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        if (v.is_null()) return Value::Null();
+        if (v.type() == ValueType::kInt) return Value::Int(std::abs(v.AsInt()));
+        return Value::Real(std::abs(v.AsReal()));
+      }
+      case Fn::kUpper:
+      case Fn::kLower: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        if (v.is_null()) return Value::Null();
+        std::string s = v.AsText();
+        for (char& c : s) {
+          c = b.fn == Fn::kUpper ? char(std::toupper(c)) : char(std::tolower(c));
+        }
+        return Value::Text(std::move(s));
+      }
+      case Fn::kCoalesce:
+      case Fn::kIfNull:
+        for (const BoundExpr& a : b.kids) {
+          XFTL_ASSIGN_OR_RETURN(Value v, Eval(a, ctx));
+          if (!v.is_null()) return v;
+        }
+        return Value::Null();
+      case Fn::kSubstr: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        XFTL_ASSIGN_OR_RETURN(Value from, arg(1));
+        if (v.is_null()) return Value::Null();
+        std::string s = v.AsText();
+        int64_t start = std::max<int64_t>(1, from.AsInt()) - 1;
+        int64_t len = int64_t(s.size()) - start;
+        if (b.kids.size() > 2) {
+          XFTL_ASSIGN_OR_RETURN(Value lv, arg(2));
+          len = lv.AsInt();
+        }
+        if (start >= int64_t(s.size()) || len <= 0) return Value::Text("");
+        return Value::Text(s.substr(size_t(start), size_t(len)));
+      }
+      case Fn::kMin:
+      case Fn::kMax:
+        // Scalar form with 2+ args (the 1-arg form is an aggregate).
+        if (b.kids.size() >= 2) {
+          XFTL_ASSIGN_OR_RETURN(Value best, arg(0));
+          for (size_t i = 1; i < b.kids.size(); ++i) {
+            XFTL_ASSIGN_OR_RETURN(Value v, arg(i));
+            int c = v.Compare(best);
+            if ((b.fn == Fn::kMin && c < 0) || (b.fn == Fn::kMax && c > 0)) {
+              best = v;
+            }
+          }
+          return best;
+        }
+        break;
+      default:
+        break;
     }
-    return Status::InvalidArgument("unknown function " + e.func);
+    return Status::InvalidArgument("unknown function " + func);
   }
 
-  static bool IsAggregate(const Expr& e) {
-    if (e.kind != Expr::Kind::kFunction) return false;
-    if (e.func == "COUNT" || e.func == "SUM" || e.func == "AVG" ||
-        e.func == "TOTAL") {
-      return true;
+  static bool IsAggregate(const BoundExpr& b) {
+    if (b.expr->kind != Expr::Kind::kFunction) return false;
+    switch (b.fn) {
+      case Fn::kCount:
+      case Fn::kSum:
+      case Fn::kAvg:
+      case Fn::kTotal:
+        return true;
+      case Fn::kMin:
+      case Fn::kMax:
+        return b.kids.size() == 1;
+      default:
+        return false;
     }
-    return (e.func == "MIN" || e.func == "MAX") && e.args.size() == 1;
   }
 
-  static bool ContainsAggregate(const Expr& e) {
-    if (IsAggregate(e)) return true;
-    if (e.lhs != nullptr && ContainsAggregate(*e.lhs)) return true;
-    if (e.rhs != nullptr && ContainsAggregate(*e.rhs)) return true;
-    for (const auto& a : e.args) {
-      if (ContainsAggregate(*a)) return true;
+  static bool ContainsAggregate(const BoundExpr& b) {
+    if (IsAggregate(b)) return true;
+    for (const BoundExpr& kid : b.kids) {
+      if (ContainsAggregate(kid)) return true;
     }
     return false;
   }
 
-  // Gathers the aggregate nodes of an expression tree (not descending into
-  // aggregate arguments: COUNT(SUM(x)) is not supported, as in SQLite).
-  static void CollectAggregates(const Expr& e,
-                                std::vector<const Expr*>* out) {
-    if (IsAggregate(e)) {
-      out->push_back(&e);
+  // Gathers the aggregate nodes of an expression tree and numbers them (not
+  // descending into aggregate arguments: COUNT(SUM(x)) is not supported, as
+  // in SQLite).
+  static void CollectAggregates(BoundExpr* b, std::vector<BoundExpr*>* out) {
+    if (IsAggregate(*b)) {
+      b->agg = int(out->size());
+      out->push_back(b);
       return;
     }
-    if (e.lhs != nullptr) CollectAggregates(*e.lhs, out);
-    if (e.rhs != nullptr) CollectAggregates(*e.rhs, out);
-    for (const auto& a : e.args) CollectAggregates(*a, out);
+    for (BoundExpr& kid : b->kids) CollectAggregates(&kid, out);
   }
 
   // --- access paths -----------------------------------------------------------
 
   // Flattens the AND tree into conjuncts.
-  static void Conjuncts(const Expr* e, std::vector<const Expr*>* out) {
-    if (e == nullptr) return;
-    if (e->kind == Expr::Kind::kBinary && e->op == "AND") {
-      Conjuncts(e->lhs.get(), out);
-      Conjuncts(e->rhs.get(), out);
+  static void Conjuncts(const BoundExpr* b,
+                        std::vector<const BoundExpr*>* out) {
+    if (b == nullptr) return;
+    if (b->expr->kind == Expr::Kind::kBinary && b->op == Op::kAnd) {
+      Conjuncts(&b->kids[0], out);
+      Conjuncts(&b->kids[1], out);
       return;
     }
-    out->push_back(e);
+    out->push_back(b);
   }
 
-  // Finds conjuncts of form <alias.col = expr-evaluable-under-ctx>; returns
-  // column-position -> value bindings for the given table instance.
-  StatusOr<std::map<int, Value>> EqualityBindings(
-      const std::vector<const Expr*>& conjuncts, const std::string& alias,
-      const TableInfo& table, const RowContext& outer_ctx) {
-    std::map<int, Value> out;
-    for (const Expr* e : conjuncts) {
-      if (e->kind != Expr::Kind::kBinary || e->op != "=") continue;
+  // The conjuncts `column = value` that can bind a column of the source at
+  // `level`: the column is bound to that source, and the value reads only
+  // the sources before it. Both sides of a conjunct are tried, left first.
+  static std::vector<Candidate> BindingCandidates(
+      const std::vector<const BoundExpr*>& conjuncts, int level) {
+    std::vector<Candidate> out;
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      const BoundExpr* e = conjuncts[i];
+      if (e->expr->kind != Expr::Kind::kBinary || e->op != Op::kEq) continue;
       for (int side = 0; side < 2; ++side) {
-        const Expr* col = side == 0 ? e->lhs.get() : e->rhs.get();
-        const Expr* val = side == 0 ? e->rhs.get() : e->lhs.get();
-        if (col->kind != Expr::Kind::kColumn) continue;
-        std::string want = Lower(col->table);
-        if (!want.empty() && want != alias) continue;
-        int idx = NameEq(col->column, "rowid") ? table.rowid_alias
-                                               : table.ColumnIndex(col->column);
-        bool is_rowid =
-            NameEq(col->column, "rowid") ||
-            (idx >= 0 && idx == table.rowid_alias);
-        if (idx < 0 && !is_rowid) continue;
-        // The other side must be evaluable without this table's row.
-        auto v = Eval(*val, outer_ctx);
-        if (!v.ok()) continue;  // references this table; not a binding
-        if (is_rowid) {
-          out[-1] = v.value();  // -1 encodes the rowid itself
-        } else {
-          out[idx] = v.value();
+        const BoundExpr& col = e->kids[side];
+        const BoundExpr& val = e->kids[1 - side];
+        if (col.expr->kind != Expr::Kind::kColumn || col.source != level ||
+            !ReadsOnlyFirst(val, level)) {
+          continue;
         }
-        break;
+        out.push_back({i, col.column, &val});
       }
+    }
+    return out;
+  }
+
+  // Evaluates the candidates against the outer rows: per conjunct the first
+  // value that evaluates binds its column, and a later conjunct binding the
+  // same column wins.
+  std::map<int, Value> EqualityBindings(const std::vector<Candidate>& cands,
+                                        const RowContext& outer_ctx) {
+    std::map<int, Value> out;
+    const Candidate* bound = nullptr;
+    for (const Candidate& c : cands) {
+      if (bound != nullptr && bound->conjunct == c.conjunct) continue;
+      auto v = Eval(*c.value, outer_ctx);
+      if (!v.ok()) continue;
+      out[c.column] = std::move(v).value();
+      bound = &c;
     }
     return out;
   }
@@ -375,7 +543,7 @@ class Executor {
     };
 
     // Direct rowid lookup.
-    auto rowid_it = eqs.find(-1);
+    auto rowid_it = eqs.find(kRowid);
     if (rowid_it != eqs.end()) {
       if (rowid_it->second.is_null()) return Status::OK();
       XFTL_ASSIGN_OR_RETURN(bool keep, emit_rowid(rowid_it->second.AsInt()));
@@ -386,7 +554,7 @@ class Executor {
     // Longest-prefix index match.
     const IndexInfo* best = nullptr;
     size_t best_len = 0;
-    for (const IndexInfo* idx : schema_->IndexesOf(table.name)) {
+    for (const IndexInfo* idx : table.indexes) {
       size_t len = 0;
       for (int col : idx->columns) {
         if (eqs.count(col) == 0) break;
@@ -454,7 +622,7 @@ class Executor {
   }
 
   Status IndexesInsert(const TableInfo& table, const Row& row, int64_t rowid) {
-    for (const IndexInfo* idx : schema_->IndexesOf(table.name)) {
+    for (const IndexInfo* idx : table.indexes) {
       BTree tree(pager_, idx->root, /*is_index=*/true);
       XFTL_RETURN_IF_ERROR(tree.InsertKey(MakeIndexKey(*idx, row, rowid, table)));
     }
@@ -462,7 +630,7 @@ class Executor {
   }
 
   Status IndexesDelete(const TableInfo& table, const Row& row, int64_t rowid) {
-    for (const IndexInfo* idx : schema_->IndexesOf(table.name)) {
+    for (const IndexInfo* idx : table.indexes) {
       BTree tree(pager_, idx->root, /*is_index=*/true);
       Status s = tree.DeleteKey(MakeIndexKey(*idx, row, rowid, table));
       if (!s.ok() && !s.IsNotFound()) return s;
@@ -499,14 +667,15 @@ class Executor {
 
     BTree data(pager_, table->root, /*is_index=*/false);
     ResultSet result;
+    const RowContext empty;
     for (const auto& exprs : stmt.rows) {
       if (exprs.size() != positions.size()) {
         return Status::InvalidArgument("values count mismatch");
       }
       Row row(table->columns.size(), Value::Null());
-      RowContext empty;
       for (size_t i = 0; i < exprs.size(); ++i) {
-        XFTL_ASSIGN_OR_RETURN(row[positions[i]], Eval(*exprs[i], empty));
+        XFTL_ASSIGN_OR_RETURN(row[positions[i]],
+                              Eval(Bind(*exprs[i], {}), empty));
       }
       int64_t rowid;
       if (table->rowid_alias >= 0 && !row[table->rowid_alias].is_null()) {
@@ -533,13 +702,7 @@ class Executor {
 
   StatusOr<ResultSet> RunSelect(const SelectStmt& stmt) {
     // Source list: FROM table plus joins.
-    struct Source {
-      std::string alias;
-      const TableInfo* table;
-    };
     std::vector<Source> sources;
-    std::vector<const Expr*> conjuncts;
-    Conjuncts(stmt.where.get(), &conjuncts);
     if (stmt.from.has_value()) {
       const TableInfo* t = schema_->FindTable(stmt.from->name);
       if (t == nullptr) return Status::NotFound("table " + stmt.from->name);
@@ -549,21 +712,48 @@ class Executor {
       const TableInfo* t = schema_->FindTable(join.table.name);
       if (t == nullptr) return Status::NotFound("table " + join.table.name);
       sources.push_back({Lower(join.table.alias), t});
-      Conjuncts(join.on.get(), &conjuncts);
+    }
+
+    // Bind every expression once; rows only evaluate them.
+    std::optional<BoundExpr> where;
+    if (stmt.where != nullptr) where = Bind(*stmt.where, sources);
+    std::vector<BoundExpr> ons;
+    for (const JoinClause& join : stmt.joins) {
+      if (join.on != nullptr) ons.push_back(Bind(*join.on, sources));
+    }
+    std::vector<BoundExpr> items;
+    for (const SelectItem& item : stmt.items) {
+      items.push_back(Bind(*item.expr, sources));
+    }
+    std::optional<BoundExpr> having;
+    if (stmt.having != nullptr) having = Bind(*stmt.having, sources);
+    std::vector<BoundExpr> group_by;
+    for (const ExprPtr& g : stmt.group_by) group_by.push_back(Bind(*g, sources));
+    std::vector<BoundExpr> order_by;
+    for (const OrderTerm& term : stmt.order_by) {
+      order_by.push_back(Bind(*term.expr, sources));
+    }
+
+    // Per source, the conjuncts that may bind its columns from outer rows.
+    std::vector<const BoundExpr*> conjuncts;
+    Conjuncts(where.has_value() ? &*where : nullptr, &conjuncts);
+    for (const BoundExpr& on : ons) Conjuncts(&on, &conjuncts);
+    std::vector<std::vector<Candidate>> candidates;
+    for (size_t level = 0; level < sources.size(); ++level) {
+      candidates.push_back(BindingCandidates(conjuncts, int(level)));
     }
 
     // Projection expansion.
     bool aggregate = !stmt.group_by.empty();
-    for (const SelectItem& item : stmt.items) {
-      if (ContainsAggregate(*item.expr)) aggregate = true;
+    for (const BoundExpr& item : items) {
+      if (ContainsAggregate(item)) aggregate = true;
     }
-    if (stmt.having != nullptr && ContainsAggregate(*stmt.having)) {
-      aggregate = true;
-    }
-    std::vector<const Expr*> projections;
+    if (having.has_value() && ContainsAggregate(*having)) aggregate = true;
+    std::vector<BoundExpr> projections;
     std::vector<std::string> col_names;
     std::vector<ExprPtr> expanded;  // owns synthesized column exprs
-    for (const SelectItem& item : stmt.items) {
+    for (size_t i = 0; i < stmt.items.size(); ++i) {
+      const SelectItem& item = stmt.items[i];
       if (item.expr->kind == Expr::Kind::kStar && !aggregate) {
         std::string want = Lower(item.expr->table);
         for (const Source& src : sources) {
@@ -573,13 +763,13 @@ class Executor {
             e->kind = Expr::Kind::kColumn;
             e->table = src.alias;
             e->column = col.name;
-            projections.push_back(e.get());
+            projections.push_back(Bind(*e, sources));
             expanded.push_back(std::move(e));
             col_names.push_back(col.name);
           }
         }
       } else {
-        projections.push_back(item.expr.get());
+        projections.push_back(std::move(items[i]));
         col_names.push_back(!item.alias.empty() ? item.alias
                             : item.expr->kind == Expr::Kind::kColumn
                                 ? item.expr->column
@@ -591,13 +781,11 @@ class Executor {
     result.columns = col_names;
 
     // All aggregate nodes appearing anywhere in the statement.
-    std::vector<const Expr*> agg_nodes;
+    std::vector<BoundExpr*> agg_nodes;
     if (aggregate) {
-      for (const Expr* p : projections) CollectAggregates(*p, &agg_nodes);
-      if (stmt.having != nullptr) CollectAggregates(*stmt.having, &agg_nodes);
-      for (const OrderTerm& term : stmt.order_by) {
-        CollectAggregates(*term.expr, &agg_nodes);
-      }
+      for (BoundExpr& p : projections) CollectAggregates(&p, &agg_nodes);
+      if (having.has_value()) CollectAggregates(&*having, &agg_nodes);
+      for (BoundExpr& term : order_by) CollectAggregates(&term, &agg_nodes);
     }
 
     // Per-group state: accumulators plus a deep copy of a representative
@@ -615,20 +803,18 @@ class Executor {
     std::function<Status(size_t, RowContext&)> descend =
         [&](size_t level, RowContext& ctx) -> Status {
       if (level == sources.size()) {
-        if (stmt.where != nullptr) {
-          XFTL_ASSIGN_OR_RETURN(Value cond, Eval(*stmt.where, ctx));
+        if (where.has_value()) {
+          XFTL_ASSIGN_OR_RETURN(Value cond, Eval(*where, ctx));
           if (!cond.Truthy()) return Status::OK();
         }
-        for (const JoinClause& join : stmt.joins) {
-          if (join.on != nullptr) {
-            XFTL_ASSIGN_OR_RETURN(Value cond, Eval(*join.on, ctx));
-            if (!cond.Truthy()) return Status::OK();
-          }
+        for (const BoundExpr& on : ons) {
+          XFTL_ASSIGN_OR_RETURN(Value cond, Eval(on, ctx));
+          if (!cond.Truthy()) return Status::OK();
         }
         if (aggregate) {
           Row key_tuple;
-          for (const ExprPtr& g : stmt.group_by) {
-            XFTL_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
+          for (const BoundExpr& g : group_by) {
+            XFTL_ASSIGN_OR_RETURN(Value v, Eval(g, ctx));
             key_tuple.push_back(std::move(v));
           }
           auto key_bytes = EncodeRecord(key_tuple);
@@ -636,7 +822,7 @@ class Executor {
           GroupState& g = groups[key];
           if (g.aggs.empty()) {
             g.aggs.resize(agg_nodes.size());
-            for (const CtxEntry& entry : ctx) {
+            for (const RowEntry& entry : ctx) {
               g.rep_rows.push_back(*entry.row);
               g.rep_rowids.push_back(entry.rowid);
             }
@@ -647,24 +833,23 @@ class Executor {
           return Status::OK();
         }
         Row out;
-        for (const Expr* p : projections) {
-          XFTL_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
+        for (const BoundExpr& p : projections) {
+          XFTL_ASSIGN_OR_RETURN(Value v, Eval(p, ctx));
           out.push_back(std::move(v));
         }
         Row keys;
-        for (const OrderTerm& term : stmt.order_by) {
-          XFTL_ASSIGN_OR_RETURN(Value v, Eval(*term.expr, ctx));
+        for (const BoundExpr& term : order_by) {
+          XFTL_ASSIGN_OR_RETURN(Value v, Eval(term, ctx));
           keys.push_back(std::move(v));
         }
         ordered.emplace_back(std::move(keys), std::move(out));
         return Status::OK();
       }
-      const Source& src = sources[level];
-      XFTL_ASSIGN_OR_RETURN(
-          auto eqs, EqualityBindings(conjuncts, src.alias, *src.table, ctx));
-      return ScanTable(*src.table, eqs,
+      const std::map<int, Value> eqs =
+          EqualityBindings(candidates[level], ctx);
+      return ScanTable(*sources[level].table, eqs,
                        [&](int64_t rowid, const Row& row) -> StatusOr<bool> {
-                         ctx.push_back({src.alias, src.table, &row, rowid});
+                         ctx.push_back({&row, rowid});
                          Status s = descend(level + 1, ctx);
                          ctx.pop_back();
                          if (!s.ok()) return s;
@@ -676,8 +861,8 @@ class Executor {
     if (sources.empty()) {
       // SELECT without FROM evaluates the items once.
       Row out;
-      for (const Expr* p : projections) {
-        XFTL_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
+      for (const BoundExpr& p : projections) {
+        XFTL_ASSIGN_OR_RETURN(Value v, Eval(p, ctx));
         out.push_back(std::move(v));
       }
       result.rows.push_back(std::move(out));
@@ -695,21 +880,20 @@ class Executor {
         // Rebuild a representative context for non-aggregate expressions.
         RowContext rep_ctx;
         for (size_t i = 0; i < g.rep_rows.size() && i < sources.size(); ++i) {
-          rep_ctx.push_back({sources[i].alias, sources[i].table,
-                             &g.rep_rows[i], g.rep_rowids[i]});
+          rep_ctx.push_back({&g.rep_rows[i], g.rep_rowids[i]});
         }
-        std::map<const Expr*, Value> finals;
+        std::vector<Value> finals;
         for (size_t i = 0; i < agg_nodes.size(); ++i) {
           XFTL_ASSIGN_OR_RETURN(Value v, Finalize(*agg_nodes[i], g.aggs[i]));
-          finals[agg_nodes[i]] = std::move(v);
+          finals.push_back(std::move(v));
         }
         agg_values_ = &finals;
         auto cleanup = [this](Status s) {
           agg_values_ = nullptr;
           return s;
         };
-        if (stmt.having != nullptr) {
-          auto cond = Eval(*stmt.having, rep_ctx);
+        if (having.has_value()) {
+          auto cond = Eval(*having, rep_ctx);
           if (!cond.ok()) return cleanup(cond.status());
           if (!cond.value().Truthy()) {
             agg_values_ = nullptr;
@@ -717,14 +901,14 @@ class Executor {
           }
         }
         Row out;
-        for (const Expr* p : projections) {
-          auto v = Eval(*p, rep_ctx);
+        for (const BoundExpr& p : projections) {
+          auto v = Eval(p, rep_ctx);
           if (!v.ok()) return cleanup(v.status());
           out.push_back(std::move(v).value());
         }
         Row keys;
-        for (const OrderTerm& term : stmt.order_by) {
-          auto v = Eval(*term.expr, rep_ctx);
+        for (const BoundExpr& term : order_by) {
+          auto v = Eval(term, rep_ctx);
           if (!v.ok()) return cleanup(v.status());
           keys.push_back(std::move(v).value());
         }
@@ -752,16 +936,16 @@ class Executor {
     return result;
   }
 
-  Status Accumulate(const Expr& e, const RowContext& ctx, Agg* agg) {
-    CHECK(IsAggregate(e)) << "non-aggregate projection in aggregate query";
-    if (e.func == "COUNT" &&
-        (e.args.empty() || e.args[0]->kind == Expr::Kind::kStar)) {
+  Status Accumulate(const BoundExpr& b, const RowContext& ctx, Agg* agg) {
+    CHECK(IsAggregate(b)) << "non-aggregate projection in aggregate query";
+    if (b.fn == Fn::kCount &&
+        (b.kids.empty() || b.kids[0].expr->kind == Expr::Kind::kStar)) {
       agg->count++;
       return Status::OK();
     }
-    XFTL_ASSIGN_OR_RETURN(Value v, Eval(*e.args[0], ctx));
+    XFTL_ASSIGN_OR_RETURN(Value v, Eval(b.kids[0], ctx));
     if (v.is_null()) return Status::OK();
-    if (e.distinct) {
+    if (b.expr->distinct) {
       std::string key = v.AsText() + "#" + std::to_string(int(v.type()));
       if (!agg->distinct.insert(key).second) return Status::OK();
     }
@@ -779,40 +963,47 @@ class Executor {
     return Status::OK();
   }
 
-  StatusOr<Value> Finalize(const Expr& e, const Agg& agg) {
-    if (e.func == "COUNT") return Value::Int(int64_t(agg.count));
-    if (e.func == "SUM") {
-      if (agg.count == 0) return Value::Null();
-      return agg.sum_is_int ? Value::Int(agg.isum) : Value::Real(agg.sum);
+  StatusOr<Value> Finalize(const BoundExpr& b, const Agg& agg) {
+    switch (b.fn) {
+      case Fn::kCount:
+        return Value::Int(int64_t(agg.count));
+      case Fn::kSum:
+        if (agg.count == 0) return Value::Null();
+        return agg.sum_is_int ? Value::Int(agg.isum) : Value::Real(agg.sum);
+      case Fn::kTotal:
+        return Value::Real(agg.sum);
+      case Fn::kAvg:
+        if (agg.count == 0) return Value::Null();
+        return Value::Real(agg.sum / double(agg.count));
+      case Fn::kMin:
+        return agg.count == 0 ? Value::Null() : agg.min;
+      case Fn::kMax:
+        return agg.count == 0 ? Value::Null() : agg.max;
+      default:
+        return Status::InvalidArgument("unknown aggregate " + b.expr->func);
     }
-    if (e.func == "TOTAL") return Value::Real(agg.sum);
-    if (e.func == "AVG") {
-      if (agg.count == 0) return Value::Null();
-      return Value::Real(agg.sum / double(agg.count));
-    }
-    if (e.func == "MIN") return agg.count == 0 ? Value::Null() : agg.min;
-    if (e.func == "MAX") return agg.count == 0 ? Value::Null() : agg.max;
-    return Status::InvalidArgument("unknown aggregate " + e.func);
   }
 
   StatusOr<ResultSet> RunUpdate(const UpdateStmt& stmt) {
     const TableInfo* table = schema_->FindTable(stmt.table);
     if (table == nullptr) return Status::NotFound("table " + stmt.table);
-    std::vector<std::pair<int, const Expr*>> sets;
+    const std::vector<Source> sources = {{Lower(table->name), table}};
+    std::vector<std::pair<int, BoundExpr>> sets;
     for (const auto& [col, expr] : stmt.sets) {
       int idx = table->ColumnIndex(col);
       if (idx < 0) return Status::NotFound("column " + col);
-      sets.emplace_back(idx, expr.get());
+      sets.emplace_back(idx, Bind(*expr, sources));
     }
-    XFTL_ASSIGN_OR_RETURN(auto matches, Materialize(*table, stmt.where.get()));
+    XFTL_ASSIGN_OR_RETURN(auto matches, Materialize(sources, stmt.where.get()));
 
     BTree data(pager_, table->root, /*is_index=*/false);
     ResultSet result;
+    RowContext ctx(1);
     for (auto& [rowid, row] : matches) {
-      RowContext ctx{{Lower(table->name), table, &row, rowid}};
+      ctx[0] = {&row, rowid};
       Row updated = row;
       for (const auto& [idx, expr] : sets) {
-        XFTL_ASSIGN_OR_RETURN(updated[idx], Eval(*expr, ctx));
+        XFTL_ASSIGN_OR_RETURN(updated[idx], Eval(expr, ctx));
       }
       int64_t new_rowid = rowid;
       if (table->rowid_alias >= 0) {
@@ -832,7 +1023,9 @@ class Executor {
   StatusOr<ResultSet> RunDelete(const DeleteStmt& stmt) {
     const TableInfo* table = schema_->FindTable(stmt.table);
     if (table == nullptr) return Status::NotFound("table " + stmt.table);
-    XFTL_ASSIGN_OR_RETURN(auto matches, Materialize(*table, stmt.where.get()));
+    XFTL_ASSIGN_OR_RETURN(
+        auto matches,
+        Materialize({{Lower(table->name), table}}, stmt.where.get()));
     BTree data(pager_, table->root, /*is_index=*/false);
     ResultSet result;
     for (auto& [rowid, row] : matches) {
@@ -843,21 +1036,25 @@ class Executor {
     return result;
   }
 
-  // Collects (rowid, row) pairs matching `where` (modification-safe).
+  // Collects (rowid, row) pairs of the one source matching `where`
+  // (modification-safe).
   StatusOr<std::vector<std::pair<int64_t, Row>>> Materialize(
-      const TableInfo& table, const Expr* where) {
-    std::vector<const Expr*> conjuncts;
-    Conjuncts(where, &conjuncts);
-    RowContext empty;
-    XFTL_ASSIGN_OR_RETURN(
-        auto eqs, EqualityBindings(conjuncts, Lower(table.name), table, empty));
+      const std::vector<Source>& sources, const Expr* where) {
+    std::optional<BoundExpr> cond;
+    if (where != nullptr) cond = Bind(*where, sources);
+    std::vector<const BoundExpr*> conjuncts;
+    Conjuncts(cond.has_value() ? &*cond : nullptr, &conjuncts);
+    const std::map<int, Value> eqs =
+        EqualityBindings(BindingCandidates(conjuncts, 0), RowContext());
     std::vector<std::pair<int64_t, Row>> out;
+    RowContext ctx(1);
     XFTL_RETURN_IF_ERROR(ScanTable(
-        table, eqs, [&](int64_t rowid, const Row& row) -> StatusOr<bool> {
-          if (where != nullptr) {
-            RowContext ctx{{Lower(table.name), &table, &row, rowid}};
-            XFTL_ASSIGN_OR_RETURN(Value cond, Eval(*where, ctx));
-            if (!cond.Truthy()) return true;
+        *sources[0].table, eqs,
+        [&](int64_t rowid, const Row& row) -> StatusOr<bool> {
+          if (cond.has_value()) {
+            ctx[0] = {&row, rowid};
+            XFTL_ASSIGN_OR_RETURN(Value v, Eval(*cond, ctx));
+            if (!v.Truthy()) return true;
           }
           out.emplace_back(rowid, row);
           return true;
@@ -869,8 +1066,9 @@ class Executor {
   Schema* const schema_;
   uint64_t rows_scanned_ = 0;
   // When set (during grouped finalization), aggregate nodes evaluate to
-  // their finalized per-group values instead of being re-computed.
-  const std::map<const Expr*, Value>* agg_values_ = nullptr;
+  // their finalized per-group values (by BoundExpr::agg) instead of being
+  // re-computed.
+  const std::vector<Value>* agg_values_ = nullptr;
 };
 
 }  // namespace

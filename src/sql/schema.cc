@@ -110,6 +110,9 @@ Status Schema::Load() {
     }
     indexes_[Lower(idx.name)] = std::move(idx);
   }
+  for (const auto& [name, idx] : indexes_) {
+    tables_.at(Lower(idx.table)).indexes.push_back(&idx);
+  }
   return Status::OK();
 }
 
@@ -121,16 +124,6 @@ const TableInfo* Schema::FindTable(const std::string& name) const {
 const IndexInfo* Schema::FindIndex(const std::string& name) const {
   auto it = indexes_.find(Lower(name));
   return it == indexes_.end() ? nullptr : &it->second;
-}
-
-std::vector<const IndexInfo*> Schema::IndexesOf(
-    const std::string& table) const {
-  std::vector<const IndexInfo*> out;
-  std::string lower = Lower(table);
-  for (const auto& [name, idx] : indexes_) {
-    if (Lower(idx.table) == lower) out.push_back(&idx);
-  }
-  return out;
 }
 
 std::vector<std::string> Schema::TableNames() const {
@@ -240,7 +233,7 @@ Status Schema::DropTable(const std::string& name) {
   const TableInfo* table = FindTable(name);
   if (table == nullptr) return Status::NotFound("table " + name);
   // Drop dependent indexes first.
-  for (const IndexInfo* idx : IndexesOf(name)) {
+  for (const IndexInfo* idx : table->indexes) {
     XFTL_RETURN_IF_ERROR(BTree::Drop(pager_, idx->root));
     XFTL_RETURN_IF_ERROR(DeleteMasterRowsFor(idx->name));
   }

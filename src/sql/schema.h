@@ -29,6 +29,8 @@ struct TableInfo {
   std::vector<ColumnDef> columns;
   // Index of the INTEGER PRIMARY KEY column aliasing the rowid, or -1.
   int rowid_alias = -1;
+  // The table's indexes, in the catalog's (lower-cased name) order.
+  std::vector<const IndexInfo*> indexes;
 
   int ColumnIndex(const std::string& name) const;
 };
@@ -36,6 +38,9 @@ struct TableInfo {
 class Schema {
  public:
   explicit Schema(Pager* pager) : pager_(pager) {}
+  // TableInfo::indexes points into this catalog's own index map.
+  Schema(const Schema&) = delete;
+  Schema& operator=(const Schema&) = delete;
 
   // Creates the master table on first open (requires an open transaction
   // when it does create one).
@@ -45,7 +50,6 @@ class Schema {
 
   const TableInfo* FindTable(const std::string& name) const;
   const IndexInfo* FindIndex(const std::string& name) const;
-  std::vector<const IndexInfo*> IndexesOf(const std::string& table) const;
   std::vector<std::string> TableNames() const;
 
   // DDL; all require an open transaction.

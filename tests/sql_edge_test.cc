@@ -343,6 +343,108 @@ TEST_F(SqlEdgeTest, ConcatAndTextCoercion) {
   EXPECT_EQ(Scalar("SELECT LENGTH(1000)").AsInt(), 4);
 }
 
+// --- name resolution -------------------------------------------------------
+// The executor binds every name once per statement, by these rules.
+
+TEST_F(SqlEdgeTest, UnqualifiedNameIsTheFirstSourceWithIt) {
+  Q("CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT, only_p INT)");
+  Q("CREATE TABLE q (id INTEGER PRIMARY KEY, v TEXT, only_q INT)");
+  Q("INSERT INTO p VALUES (1, 'p1', 11)");
+  Q("INSERT INTO q VALUES (1, 'q1', 21)");
+  ResultSet r = Q("SELECT v, only_q, only_p FROM p JOIN q ON p.id = q.id");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsText(), "p1");
+  EXPECT_EQ(r.rows[0][1].AsInt(), 21);
+  EXPECT_EQ(r.rows[0][2].AsInt(), 11);
+  EXPECT_EQ(Q("SELECT v FROM q JOIN p ON p.id = q.id").rows[0][0].AsText(),
+            "q1");
+}
+
+TEST_F(SqlEdgeTest, UnqualifiedNameBindsOnlyTheSourceItNames) {
+  // `v` is q's: an index on p's v must not narrow p's scan.
+  Q("CREATE TABLE q (id INTEGER PRIMARY KEY, v TEXT)");
+  Q("CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT)");
+  Q("CREATE INDEX idx_pv ON p (v)");
+  Q("INSERT INTO q VALUES (1, 'x'), (2, 'y')");
+  Q("INSERT INTO p VALUES (1, 'x'), (2, 'y')");
+  ResultSet r = Q("SELECT q.id, p.id FROM q, p WHERE v = 'x' ORDER BY p.id");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 1);
+  EXPECT_EQ(r.rows[1][0].AsInt(), 1);
+  EXPECT_EQ(r.rows[1][1].AsInt(), 2);
+}
+
+TEST_F(SqlEdgeTest, SelfJoinAliases) {
+  Q("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)");
+  Q("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')");
+  ResultSet r = Q(
+      "SELECT a.v, b.v FROM t a JOIN t b ON b.id = a.id + 1 ORDER BY a.id");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsText(), "a");
+  EXPECT_EQ(r.rows[0][1].AsText(), "b");
+  EXPECT_EQ(r.rows[1][0].AsText(), "b");
+  EXPECT_EQ(r.rows[1][1].AsText(), "c");
+  // a is scanned; b is one rowid lookup per a row, two of which hit.
+  EXPECT_EQ(r.rows_scanned, 5u);
+}
+
+TEST_F(SqlEdgeTest, RowidAndIntegerPrimaryKeyAlias) {
+  Q("CREATE TABLE r (k INTEGER PRIMARY KEY, v TEXT)");
+  Q("INSERT INTO r VALUES (5, 'five'), (7, 'seven')");
+  ResultSet r = Q("SELECT rowid, k, ROWID, r.rowid, r.k FROM r WHERE k = 7");
+  ASSERT_EQ(r.rows.size(), 1u);
+  for (const Value& v : r.rows[0]) EXPECT_EQ(v.AsInt(), 7);
+  EXPECT_EQ(r.rows_scanned, 1u);  // a rowid lookup, not a scan
+  r = Q("SELECT v FROM r WHERE rowid = 5");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsText(), "five");
+  EXPECT_EQ(r.rows_scanned, 1u);
+
+  Q("CREATE TABLE n (v TEXT)");
+  Q("INSERT INTO n VALUES ('a'), ('b')");
+  r = Q("SELECT rowid, v FROM n WHERE rowid = 2");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 2);
+  EXPECT_EQ(r.rows[0][1].AsText(), "b");
+}
+
+TEST_F(SqlEdgeTest, UnknownColumnFailsOnlyWhenEvaluated) {
+  Q("CREATE TABLE e (x INT)");
+  // No row, so nothing reads the name.
+  EXPECT_TRUE(Q("SELECT nosuch FROM e").rows.empty());
+  EXPECT_TRUE(Q("SELECT x FROM e WHERE e.nosuch = 1").rows.empty());
+  Q("INSERT INTO e VALUES (1)");
+  Status s = db_->Exec("SELECT nosuch FROM e").status();
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.message(), "no such column: nosuch");
+  s = db_->Exec("SELECT x FROM e WHERE e.nosuch = 1").status();
+  EXPECT_EQ(s.message(), "no such column: e.nosuch");
+  s = db_->Exec("SELECT zz.x FROM e").status();
+  EXPECT_EQ(s.message(), "no such column: zz.x");
+  s = db_->Exec("UPDATE e SET x = nosuch + 1").status();
+  EXPECT_EQ(s.message(), "no such column: nosuch");
+}
+
+TEST_F(SqlEdgeTest, OnValueNamingALaterSourceIsNoBinding) {
+  // For a, `b.id = a.x` offers a.x = b.id, but b has no row yet when a is
+  // scanned: a must be scanned whole, not looked up by idx_ax.
+  Q("CREATE TABLE a (id INTEGER PRIMARY KEY, x INT)");
+  Q("CREATE TABLE b (id INTEGER PRIMARY KEY, y INT)");
+  Q("CREATE INDEX idx_ax ON a (x)");
+  Q("INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)");
+  Q("INSERT INTO b VALUES (10, 100), (20, 200), (40, 400)");
+  ResultSet r =
+      Q("SELECT a.id, b.y FROM a JOIN b ON b.id = a.x ORDER BY a.id");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 100);
+  EXPECT_EQ(r.rows[1][0].AsInt(), 2);
+  EXPECT_EQ(r.rows[1][1].AsInt(), 200);
+  // Three rows of a, then one rowid lookup of b per row, two of which hit.
+  EXPECT_EQ(r.rows_scanned, 5u);
+}
+
 // --- BEGIN modifiers ---------------------------------------------------------
 
 TEST_F(SqlEdgeTest, BeginReadonlyRejectsWrites) {
