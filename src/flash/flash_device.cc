@@ -366,7 +366,7 @@ Status FlashDevice::EraseBlock(BlockNum block) {
                            std::to_string(block));
   }
   if (!blk.data.empty()) {
-    std::fill(blk.data.begin(), blk.data.end(), 0xff);
+    // The bytes stay as they were: nothing reads an erased page's bytes.
     std::fill(blk.page_state.begin(), blk.page_state.end(),
               PageState::kErased);
     std::fill(blk.oob.begin(), blk.oob.end(), PageOob{});
@@ -412,7 +412,6 @@ void FlashDevice::ArmCrashPlan(const CrashPlan& plan) {
 void FlashDevice::DropPage(BlockNum block, uint32_t page) {
   Block& blk = blocks_[block];
   if (blk.data.empty()) return;
-  std::memset(PageData(blk, page), 0xff, config_.page_size);
   blk.page_state[page] = PageState::kErased;
   blk.oob[page] = PageOob{};
   blk.next_page = std::min(blk.next_page, page);
@@ -563,8 +562,9 @@ FlashDevice::PageState FlashDevice::PageStateOf(Ppn ppn) const {
 const uint8_t* FlashDevice::PeekPageData(Ppn ppn) const {
   const Block& blk = blocks_[config_.BlockOf(ppn)];
   if (blk.data.empty()) return nullptr;
-  return blk.data.data() +
-         size_t(config_.PageInBlock(ppn)) * config_.page_size;
+  const uint32_t page = config_.PageInBlock(ppn);
+  if (blk.page_state[page] == PageState::kErased) return nullptr;
+  return blk.data.data() + size_t(page) * config_.page_size;
 }
 
 std::optional<PageOob> FlashDevice::PeekOob(Ppn ppn) const {

@@ -194,7 +194,7 @@ class FlashDevice {
 
   // --- offline inspection (xftl_fsck, image dump) ------------------------
   // Side-effect-free peeks at a powered-off image: no clock, no stats, no
-  // RBER sampling. PeekPageData returns nullptr for never-touched blocks.
+  // RBER sampling. PeekPageData returns nullptr for an erased page.
   PageState PageStateOf(Ppn ppn) const;
   const uint8_t* PeekPageData(Ppn ppn) const;
   std::optional<PageOob> PeekOob(Ppn ppn) const;
@@ -210,7 +210,9 @@ class FlashDevice {
 
  private:
   struct Block {
-    std::vector<uint8_t> data;   // allocated lazily, pages_per_block pages
+    // Allocated lazily, pages_per_block pages. An erased page's bytes are
+    // stale: reads return 0xff by page_state, and a program overwrites them.
+    std::vector<uint8_t> data;
     std::vector<PageState> page_state;
     std::vector<PageOob> oob;
     uint32_t next_page = 0;      // in-order program cursor

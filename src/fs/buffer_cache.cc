@@ -7,9 +7,7 @@ StatusOr<BufferCache::Entry*> BufferCache::Get(uint64_t page,
   auto it = entries_.find(page);
   if (it != entries_.end()) {
     hits_++;
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(page);
-    it->second.lru_it = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return &it->second;
   }
   misses_++;
@@ -42,9 +40,7 @@ StatusOr<BufferCache::Entry*> BufferCache::GetZeroed(uint64_t page) {
     return &e;
   }
   std::fill(it->second.data.begin(), it->second.data.end(), 0);
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(page);
-  it->second.lru_it = lru_.begin();
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   return &it->second;
 }
 

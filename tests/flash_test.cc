@@ -87,6 +87,33 @@ TEST_F(FlashDeviceTest, EraseResetsBlock) {
   ASSERT_TRUE(dev_.ProgramPage(0, data.data(), {}).ok());
 }
 
+// An erase keeps the block's old bytes in memory; every read path must go by
+// the page state and never show them.
+TEST_F(FlashDeviceTest, ErasedPageReadsFfAndReprograms) {
+  auto old_data = Pattern(0x5a);
+  ASSERT_TRUE(dev_.ProgramPage(0, old_data.data(), {.lpn = 3, .seq = 1}).ok());
+  ASSERT_TRUE(dev_.EraseBlock(0).ok());
+
+  EXPECT_EQ(dev_.PageStateOf(0), FlashDevice::PageState::kErased);
+  EXPECT_EQ(dev_.PeekPageData(0), nullptr);
+  EXPECT_FALSE(dev_.PeekOob(0).has_value());
+  EXPECT_FALSE(dev_.ReadOob(0).value().has_value());
+  std::vector<uint8_t> out(dev_.config().page_size, 0);
+  PageOob oob{.lpn = 99};
+  ASSERT_TRUE(dev_.ReadPage(0, out.data(), &oob).ok());
+  EXPECT_EQ(out, Pattern(0xff));
+  EXPECT_EQ(oob.lpn, kInvalidLpn);
+
+  auto new_data = Pattern(0xc3);
+  ASSERT_TRUE(dev_.ProgramPage(0, new_data.data(), {.lpn = 4, .seq = 2}).ok());
+  EXPECT_EQ(dev_.PageStateOf(0), FlashDevice::PageState::kProgrammed);
+  ASSERT_TRUE(dev_.ReadPage(0, out.data(), &oob).ok());
+  EXPECT_EQ(out, new_data);
+  EXPECT_EQ(oob.lpn, 4u);
+  ASSERT_NE(dev_.PeekPageData(0), nullptr);
+  EXPECT_EQ(std::memcmp(dev_.PeekPageData(0), new_data.data(), out.size()), 0);
+}
+
 TEST_F(FlashDeviceTest, OutOfRangeRejected) {
   auto data = Pattern(0);
   EXPECT_EQ(dev_.ProgramPage(uint32_t(dev_.config().TotalPages()), data.data(), {})
