@@ -338,6 +338,23 @@ class SataDevice : public TxBlockDevice {
   // read-only degradations.
   template <typename DeviceRead>
   Status LinkRead(TxId t, uint64_t page, const DeviceRead& read);
+  // Whether a non-data command first reports a latched deferred error
+  // (errseq) instead of executing.
+  enum Gate : bool { kUngated = false, kGated = true };
+  // The one routine behind every non-data command (the trim-class verbs and
+  // the flushes). `queue` orders the command against queued writes
+  // (PollQueue, DrainQueue, OrderCommit; null = not at all), then it pays
+  // one command overhead and counts once in its class (barrier_commands for
+  // kFlush/kBarrier, trim_commands otherwise) and in `verb` (null = none).
+  // `body` does the device work unless the gate fails first. One capture
+  // event records (op, t, a, status) and `occupancy`, read after `body`.
+  template <typename Body>
+  Status NonData(trace::Op op, TxId t, uint64_t a,
+                 void (SataDevice::*queue)(), Gate gate,
+                 uint64_t SataStats::*verb, Body body,
+                 const uint64_t& occupancy = 0);
+  // NotSupported naming `verb` unless the FTL is an XFtl.
+  Status RequireXftl(const char* verb) const;
   // The completion-wait flush behind FlushBarrier (drain/PLP firmware) and
   // AwaitDurable: drain the queue, surface any deferred error, full FTL
   // flush. The kFlush event's `a` is 1 for AwaitDurable, 0 otherwise.
