@@ -360,7 +360,6 @@ Status PageFtl::ProgramWithRetirement(const uint8_t* data,
 }
 
 Status PageFtl::RetireBlock(flash::BlockNum block) {
-  const auto& fc = device_->config();
   BlockInfo& blk = blocks_[block];
   if (blk.kind == BlockInfo::Kind::kBad) return Status::OK();
   if (retire_depth_ >= 8) {
@@ -373,44 +372,48 @@ Status PageFtl::RetireBlock(flash::BlockNum block) {
   for (auto& a : active_blocks_) {
     if (a == block) a = flash::kInvalidPpn;
   }
-  Status result = Status::OK();
-  std::vector<uint8_t> buf(fc.page_size);
-  if (!blk.valid.empty()) {
-    for (uint32_t p = 0; p < fc.pages_per_block && result.ok(); ++p) {
-      if (!blk.valid[p]) continue;
-      flash::Ppn from = flash::Ppn(uint64_t(block) * fc.pages_per_block + p);
-      Lpn lpn = blk.rmap[p];
-      flash::PageOob old_oob;
-      Status rs = ReadPhysPage(from, buf.data(), &old_oob);
-      if (!rs.ok()) {
-        if (device_->HasFailed()) {
-          result = rs;
-          break;
-        }
-        // Uncorrectable (or torn) page: its content cannot be saved. Drop
-        // the mapping instead of wedging the retirement.
-        stats_.pages_lost++;
-        InvalidatePpn(from);
-        if (lpn < l2p_.size() && l2p_[lpn] == from) ClearMapping(lpn);
-        continue;
-      }
-      flash::PageOob reloc = RelocationOob(lpn, from, old_oob);
-      bool in_l2p = lpn < l2p_.size() && l2p_[lpn] == from;
-      flash::Ppn to;
-      Status ps = ProgramWithRetirement(buf.data(), reloc, &to);
-      if (!ps.ok()) {
-        result = ps;
-        break;
-      }
-      stats_.retire_relocations++;
-      InvalidatePpn(from);
-      if (in_l2p) SetMapping(lpn, to);
-      OnPageRelocated(lpn, from, to);
-    }
-  }
+  Status result = blk.valid.empty()
+                      ? Status::OK()
+                      : RelocateValidPages(block, /*retiring=*/true);
   retire_depth_--;
   if (result.ok()) MarkBlockBad(block);
   return result;
+}
+
+Status PageFtl::RelocateValidPages(flash::BlockNum block, bool retiring) {
+  const auto& fc = device_->config();
+  const BlockInfo& blk = blocks_[block];
+  std::vector<uint8_t> buf(fc.page_size);
+  for (uint32_t p = 0; p < fc.pages_per_block; ++p) {
+    if (!blk.valid[p]) continue;
+    flash::Ppn from = flash::Ppn(uint64_t(block) * fc.pages_per_block + p);
+    Lpn lpn = blk.rmap[p];
+    const bool in_l2p = lpn < l2p_.size() && l2p_[lpn] == from;
+    flash::PageOob old_oob;
+    Status rs = ReadPhysPage(from, buf.data(), &old_oob);
+    if (!rs.ok()) {
+      if (device_->HasFailed()) return rs;
+      // Uncorrectable (or torn) page: its content cannot be saved. Drop the
+      // mapping instead of wedging the collection or retirement.
+      stats_.pages_lost++;
+      InvalidatePpn(from);
+      if (in_l2p) ClearMapping(lpn);
+      continue;
+    }
+    if (!retiring) stats_.gc_copyback_reads++;
+    flash::Ppn to;
+    XFTL_RETURN_IF_ERROR(ProgramWithRetirement(
+        buf.data(), RelocationOob(lpn, from, old_oob), &to));
+    if (retiring) {
+      stats_.retire_relocations++;
+      InvalidatePpn(from);
+    } else {
+      stats_.gc_copyback_writes++;
+    }
+    if (in_l2p) SetMapping(lpn, to);
+    OnPageRelocated(lpn, from, to);
+  }
+  return Status::OK();
 }
 
 flash::PageOob PageFtl::RelocationOob(Lpn lpn, flash::Ppn from,
@@ -585,7 +588,7 @@ StatusOr<flash::BlockNum> PageFtl::PickVictim() {
   switch (config_.gc_policy) {
     case GcPolicy::kGreedy:
       // Lowest non-empty bucket, lowest block number — identical to the
-      // legacy linear scan (PeekVictimLinear pins this in ftl_test).
+      // legacy linear scan (ftl_test keeps it as the reference).
       return gc_buckets_[gc_min_bucket_].begin()->second;
 
     case GcPolicy::kFifo: {
@@ -630,54 +633,7 @@ StatusOr<flash::BlockNum> PageFtl::PickVictim() {
   return Status::FailedPrecondition("unreachable gc policy");
 }
 
-StatusOr<flash::BlockNum> PageFtl::PeekVictimLinear() const {
-  const auto& fc = device_->config();
-  flash::BlockNum best = flash::kInvalidPpn;
-  double best_score = -1;
-  uint64_t best_seq = ~0ull;
-  for (flash::BlockNum b = config_.meta_blocks; b < fc.num_blocks; ++b) {
-    const BlockInfo& blk = blocks_[b];
-    if (blk.kind != BlockInfo::Kind::kSealed) continue;
-    if (blk.valid_count >= fc.pages_per_block) continue;  // nothing to gain
-    if (config_.gc_policy == GcPolicy::kFifo) {
-      // Oldest seal wins, exact integer compare. (The scan originally
-      // computed `1e18 - double(sealed_seq)`, whose 128-ulp rounding folded
-      // nearby seal times together and silently tie-broke by block number.)
-      if (best == flash::kInvalidPpn || blk.sealed_seq < best_seq) {
-        best_seq = blk.sealed_seq;
-        best = b;
-      }
-      continue;
-    }
-    double score = 0;
-    switch (config_.gc_policy) {
-      case GcPolicy::kGreedy:
-        score = double(fc.pages_per_block - blk.valid_count);
-        break;
-      case GcPolicy::kCostBenefit: {
-        // LFS: benefit/cost = age * (1 - u) / 2u; a fully invalid block is
-        // free to collect, so give it the maximal score.
-        double u = double(blk.valid_count) / double(fc.pages_per_block);
-        double age = double(next_seq_ - blk.sealed_seq);
-        score = u == 0 ? 1e18 : age * (1.0 - u) / (2.0 * u);
-        break;
-      }
-      case GcPolicy::kFifo:
-        break;  // handled above
-    }
-    if (best == flash::kInvalidPpn || score > best_score) {
-      best_score = score;
-      best = b;
-    }
-  }
-  if (best == flash::kInvalidPpn) {
-    return Status::ResourceExhausted("garbage collection found no victim");
-  }
-  return best;
-}
-
 Status PageFtl::CollectOneBlock() {
-  const auto& fc = device_->config();
   XFTL_ASSIGN_OR_RETURN(flash::BlockNum victim, PickVictim());
   BlockInfo& blk = blocks_[victim];
   stats_.gc_runs++;
@@ -685,32 +641,7 @@ Status PageFtl::CollectOneBlock() {
   SimNanos gc_t0 = device_->clock()->Now();
   uint32_t gc_valid = blk.valid_count;
 
-  std::vector<uint8_t> buf(fc.page_size);
-  for (uint32_t p = 0; p < fc.pages_per_block; ++p) {
-    if (!blk.valid[p]) continue;
-    flash::Ppn from = flash::Ppn(uint64_t(victim) * fc.pages_per_block + p);
-    Lpn lpn = blk.rmap[p];
-    flash::PageOob old_oob;
-    Status rs = ReadPhysPage(from, buf.data(), &old_oob);
-    if (!rs.ok()) {
-      if (device_->HasFailed()) return rs;
-      // Uncorrectable page in the victim: the content is already gone; drop
-      // the mapping rather than aborting the collection.
-      stats_.pages_lost++;
-      InvalidatePpn(from);
-      if (lpn < l2p_.size() && l2p_[lpn] == from) ClearMapping(lpn);
-      continue;
-    }
-    stats_.gc_copyback_reads++;
-
-    flash::Ppn to;
-    XFTL_RETURN_IF_ERROR(ProgramWithRetirement(
-        buf.data(), RelocationOob(lpn, from, old_oob), &to));
-    stats_.gc_copyback_writes++;
-
-    if (lpn < l2p_.size() && l2p_[lpn] == from) SetMapping(lpn, to);
-    OnPageRelocated(lpn, from, to);
-  }
+  XFTL_RETURN_IF_ERROR(RelocateValidPages(victim, /*retiring=*/false));
 
   Status es = device_->EraseBlock(victim);
   if (!es.ok()) {

@@ -195,10 +195,6 @@ class PageFtl {
   // Victim the bucketed picker would choose right now (tests/observability;
   // only the min-bucket hint may move).
   StatusOr<flash::BlockNum> PeekVictim() { return PickVictim(); }
-  // Reference implementation: the legacy O(num_blocks) linear scan. Kept so
-  // the equivalence test can pin bucketed == linear selection under the
-  // greedy policy on an aged device.
-  StatusOr<flash::BlockNum> PeekVictimLinear() const;
 
  protected:
   // --- hooks overridden by X-FTL ------------------------------------------
@@ -333,6 +329,9 @@ class PageFtl {
 
   uint32_t SegmentOf(Lpn lpn) const { return uint32_t(lpn / entries_per_segment_); }
 
+  // tests/ftl_test.cc: the linear-scan victim reference reads blocks_.
+  friend class PageFtlTestPeer;
+
   void InitLayout();
   // Ensures the free pool holds > min_free_blocks erased blocks.
   Status MaybeGarbageCollect();
@@ -373,6 +372,13 @@ class PageFtl {
   // block. Used for program-status failures; erase failures have nothing
   // left to relocate and go through MarkBlockBad directly.
   Status RetireBlock(flash::BlockNum block);
+  // The one page-move loop of GC and retirement: reads each valid page of
+  // `block` through ECC (an uncorrectable one counts in pages_lost and is
+  // unmapped), programs it with RelocationOob via ProgramWithRetirement,
+  // re-points the L2P and calls OnPageRelocated. A GC move counts
+  // gc_copyback_reads/writes and leaves the valid bits for the erase; a
+  // `retiring` move counts retire_relocations and invalidates the source.
+  Status RelocateValidPages(flash::BlockNum block, bool retiring);
   // Bookkeeping shared by every retirement path: flips the BlockInfo to
   // kBad, records it in the persisted bad-block list, and re-evaluates the
   // degradation floor.
