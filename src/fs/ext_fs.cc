@@ -3,11 +3,22 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <span>
 
 namespace xftl::fs {
 
 namespace {
 constexpr uint32_t kPtrSize = 4;
+
+// A committed or checkpointed page is clean, unpinned and out of any device
+// transaction.
+void MarkClean(std::span<BufferCache::Entry* const> entries) {
+  for (BufferCache::Entry* e : entries) {
+    e->dirty = false;
+    e->pinned = false;
+    e->tid = 0;
+  }
+}
 }  // namespace
 
 const char* JournalModeName(JournalMode mode) {
@@ -744,7 +755,7 @@ Status ExtFs::CommitDirty(Ino ino, bool datasync) {
   if (auto git = tx_groups_.find(ino); git != tx_groups_.end()) {
     members.insert(git->second->begin(), git->second->end());
   }
-  std::vector<BufferCache::Entry*> data_entries;
+  std::vector<BufferCache::Entry*> entries;  // data pages, then metadata
   std::vector<BufferCache::Entry*> meta_entries;
   cache_->ForEachDirty([&](BufferCache::Entry* e) {
     if (e->metadata) {
@@ -753,13 +764,26 @@ Status ExtFs::CommitDirty(Ino ino, bool datasync) {
       if (!(datasync && e->ts_only)) meta_entries.push_back(e);
     } else if (options_.journal_mode != JournalMode::kOff ||
                members.count(e->owner) != 0) {
-      data_entries.push_back(e);
+      entries.push_back(e);
     }
   });
+  const size_t nd = entries.size();
+  const size_t nm = meta_entries.size();
+  const size_t n = nd + nm;
+  entries.insert(entries.end(), meta_entries.begin(), meta_entries.end());
+  // The one page batch of this commit. Each device write and the journal
+  // take its data prefix, its metadata suffix or all of it.
+  std::vector<uint64_t> pages(n);
+  std::vector<const uint8_t*> datas(n);
+  for (size_t i = 0; i < n; ++i) {
+    pages[i] = entries[i]->page;
+    datas[i] = entries[i]->data.data();
+  }
+  const std::span<BufferCache::Entry* const> all(entries);
 
   switch (options_.journal_mode) {
     case JournalMode::kOff: {
-      if (data_entries.empty() && meta_entries.empty()) {
+      if (n == 0) {
         auto it = active_tid_.find(ino);
         if (it != active_tid_.end()) {
           XFTL_RETURN_IF_ERROR(dev_->TxCommit(it->second));
@@ -774,131 +798,58 @@ Status ExtFs::CommitDirty(Ino ino, bool datasync) {
       // Group writeback: the whole dirty set goes down as one queued batch
       // so the device stripes the programs across banks before the commit
       // barrier waits for them.
-      std::vector<uint64_t> batch_pages;
-      std::vector<const uint8_t*> batch_datas;
-      batch_pages.reserve(data_entries.size() + meta_entries.size());
-      batch_datas.reserve(data_entries.size() + meta_entries.size());
-      for (auto* e : data_entries) {
-        batch_pages.push_back(e->page);
-        batch_datas.push_back(e->data.data());
-      }
-      for (auto* e : meta_entries) {
-        batch_pages.push_back(e->page);
-        batch_datas.push_back(e->data.data());
-      }
-      XFTL_RETURN_IF_ERROR(dev_->TxWriteBatch(
-          tid, batch_pages.data(), batch_datas.data(), batch_pages.size()));
-      stats_.data_page_writes += data_entries.size();
-      stats_.metadata_page_writes += meta_entries.size();
+      XFTL_RETURN_IF_ERROR(
+          dev_->TxWriteBatch(tid, pages.data(), datas.data(), n));
+      stats_.data_page_writes += nd;
+      stats_.metadata_page_writes += nm;
       XFTL_RETURN_IF_ERROR(dev_->TxCommit(tid));
       // Entries flip clean only once the whole transaction committed. If a
       // TxWrite fails part-way (the device degrading to read-only, say), the
       // written slots are still uncommitted device-side and IoctlAbort must
       // find these entries dirty so it discards them — otherwise the cache
       // would keep serving the aborted contents.
-      for (auto* e : data_entries) {
-        e->dirty = false;
-        e->pinned = false;
-        e->tid = 0;
-      }
-      for (auto* e : meta_entries) {
-        e->dirty = false;
-        e->pinned = false;
-        e->tid = 0;
-      }
+      MarkClean(all);
       for (Ino m : members) {
         active_tid_.erase(m);
         tx_groups_.erase(m);
       }
       return RunPendingTrims();
     }
-    case JournalMode::kOrdered: {
+    case JournalMode::kOrdered:
       // Data first, in place — one queued batch; the journal's Barrier 1
       // waits for the striped programs.
-      if (!data_entries.empty()) {
-        std::vector<uint64_t> dp;
-        std::vector<const uint8_t*> dd;
-        dp.reserve(data_entries.size());
-        dd.reserve(data_entries.size());
-        for (auto* e : data_entries) {
-          dp.push_back(e->page);
-          dd.push_back(e->data.data());
-        }
-        XFTL_RETURN_IF_ERROR(dev_->WriteBatch(dp.data(), dd.data(), dp.size()));
-        stats_.data_page_writes += data_entries.size();
-        for (auto* e : data_entries) {
-          e->dirty = false;
-          e->pinned = false;
-        }
+      if (nd > 0) {
+        XFTL_RETURN_IF_ERROR(dev_->WriteBatch(pages.data(), datas.data(), nd));
+        stats_.data_page_writes += nd;
+        MarkClean(all.first(nd));
       }
-      if (meta_entries.empty()) {
+      if (nm == 0) {
         XFTL_RETURN_IF_ERROR(dev_->FlushBarrier());
         return RunPendingTrims();
       }
-      std::vector<std::pair<uint64_t, const uint8_t*>> txn;
-      txn.reserve(meta_entries.size());
-      for (auto* e : meta_entries) txn.emplace_back(e->page, e->data.data());
-      XFTL_RETURN_IF_ERROR(journal_->CommitTransaction(txn));
+      XFTL_RETURN_IF_ERROR(journal_->CommitTransaction(
+          pages.data() + nd, datas.data() + nd, nm));
       // Checkpoint: metadata to home locations (made durable by the next
       // transaction's first barrier).
-      {
-        std::vector<uint64_t> mp;
-        std::vector<const uint8_t*> md;
-        mp.reserve(meta_entries.size());
-        md.reserve(meta_entries.size());
-        for (auto* e : meta_entries) {
-          mp.push_back(e->page);
-          md.push_back(e->data.data());
-        }
-        XFTL_RETURN_IF_ERROR(dev_->WriteBatch(mp.data(), md.data(), mp.size()));
-        stats_.checkpoint_page_writes += meta_entries.size();
-        for (auto* e : meta_entries) {
-          e->dirty = false;
-          e->pinned = false;
-        }
-      }
+      XFTL_RETURN_IF_ERROR(
+          dev_->WriteBatch(pages.data() + nd, datas.data() + nd, nm));
+      stats_.checkpoint_page_writes += nm;
+      MarkClean(all.subspan(nd));
       return RunPendingTrims();
-    }
-    case JournalMode::kFull: {
-      if (data_entries.empty() && meta_entries.empty()) {
+    case JournalMode::kFull:
+      if (n == 0) {
         XFTL_RETURN_IF_ERROR(dev_->FlushBarrier());
         return RunPendingTrims();
       }
       // Both data and metadata go through the journal: every page is
-      // written twice.
-      std::vector<std::pair<uint64_t, const uint8_t*>> txn;
-      txn.reserve(data_entries.size() + meta_entries.size());
-      for (auto* e : data_entries) txn.emplace_back(e->page, e->data.data());
-      for (auto* e : meta_entries) txn.emplace_back(e->page, e->data.data());
-      XFTL_RETURN_IF_ERROR(journal_->CommitTransaction(txn));
-      // Checkpoint everything in place as one queued batch.
-      {
-        std::vector<uint64_t> cp;
-        std::vector<const uint8_t*> cd;
-        cp.reserve(txn.size());
-        cd.reserve(txn.size());
-        for (auto* e : data_entries) {
-          cp.push_back(e->page);
-          cd.push_back(e->data.data());
-        }
-        for (auto* e : meta_entries) {
-          cp.push_back(e->page);
-          cd.push_back(e->data.data());
-        }
-        XFTL_RETURN_IF_ERROR(dev_->WriteBatch(cp.data(), cd.data(), cp.size()));
-        stats_.data_page_writes += data_entries.size();
-        stats_.checkpoint_page_writes += meta_entries.size();
-        for (auto* e : data_entries) {
-          e->dirty = false;
-          e->pinned = false;
-        }
-        for (auto* e : meta_entries) {
-          e->dirty = false;
-          e->pinned = false;
-        }
-      }
+      // written twice. The checkpoint is one queued batch.
+      XFTL_RETURN_IF_ERROR(
+          journal_->CommitTransaction(pages.data(), datas.data(), n));
+      XFTL_RETURN_IF_ERROR(dev_->WriteBatch(pages.data(), datas.data(), n));
+      stats_.data_page_writes += nd;
+      stats_.checkpoint_page_writes += nm;
+      MarkClean(all);
       return RunPendingTrims();
-    }
   }
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 #include "fs/journal.h"
 
 #include <cstring>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -13,10 +14,10 @@ Journal::Journal(storage::BlockDevice* dev, uint32_t start, uint32_t pages)
   CHECK_GE(pages_, 3u);
 }
 
-Status Journal::CommitTransaction(
-    const std::vector<std::pair<uint64_t, const uint8_t*>>& pages) {
-  if (pages.empty()) return Status::OK();
-  if (pages.size() > capacity()) {
+Status Journal::CommitTransaction(const uint64_t* homes,
+                                  const uint8_t* const* datas, size_t n) {
+  if (n == 0) return Status::OK();
+  if (n > capacity()) {
     return Status::ResourceExhausted("journal transaction too large");
   }
   const uint32_t page_size = dev_->page_size();
@@ -34,13 +35,11 @@ Status Journal::CommitTransaction(
   uint64_t txid = next_txid_++;
   EncodeFixed32(buf.data(), kJournalDescMagic);
   EncodeFixed64(buf.data() + 4, txid);
-  EncodeFixed32(buf.data() + 12, uint32_t(pages.size()));
-  size_t off = 16;
+  EncodeFixed32(buf.data() + 12, uint32_t(n));
   uint32_t content_crc = 0;
-  for (const auto& [home, data] : pages) {
-    EncodeFixed64(buf.data() + off, home);
-    off += 8;
-    content_crc = Crc32c(data, page_size, content_crc);
+  for (size_t i = 0; i < n; ++i) {
+    EncodeFixed64(buf.data() + 16 + i * 8, homes[i]);
+    content_crc = Crc32c(datas[i], page_size, content_crc);
   }
   EncodeFixed32(buf.data() + page_size - 4,
                 Crc32c(buf.data(), page_size - 4));
@@ -50,16 +49,10 @@ Status Journal::CommitTransaction(
   // Copies: one queued batch, striped across banks by the FTL. The commit
   // page below still serializes after them in program order, and Barrier 2
   // is what makes any of it durable.
-  uint32_t jp = start_ + 1;
-  std::vector<uint64_t> copy_pages(pages.size());
-  std::vector<const uint8_t*> copy_datas(pages.size());
-  for (size_t i = 0; i < pages.size(); ++i) {
-    copy_pages[i] = jp++;
-    copy_datas[i] = pages[i].second;
-  }
-  XFTL_RETURN_IF_ERROR(
-      dev_->WriteBatch(copy_pages.data(), copy_datas.data(), pages.size()));
-  stats_.journal_page_writes += pages.size();
+  std::vector<uint64_t> copy_pages(n);
+  for (size_t i = 0; i < n; ++i) copy_pages[i] = start_ + 1 + i;
+  XFTL_RETURN_IF_ERROR(dev_->WriteBatch(copy_pages.data(), datas, n));
+  stats_.journal_page_writes += n;
 
   // Commit page: its checksum covers the copies, so a torn copy invalidates
   // the whole transaction.
@@ -67,7 +60,7 @@ Status Journal::CommitTransaction(
   EncodeFixed32(buf.data(), kJournalCommitMagic);
   EncodeFixed64(buf.data() + 4, txid);
   EncodeFixed32(buf.data() + 12, content_crc);
-  XFTL_RETURN_IF_ERROR(dev_->Write(jp, buf.data()));
+  XFTL_RETURN_IF_ERROR(dev_->Write(start_ + 1 + n, buf.data()));
   stats_.journal_page_writes++;
 
   // Barrier 2: the commit record is durable (on barrier firmware: ordered

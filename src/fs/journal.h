@@ -11,9 +11,8 @@
 #ifndef XFTL_FS_JOURNAL_H_
 #define XFTL_FS_JOURNAL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "storage/block_device.h"
@@ -34,14 +33,14 @@ class Journal {
   // Maximum pages a single transaction may carry.
   uint32_t capacity() const { return pages_ - 2; }
 
-  // Journals `pages` ({home page number, contents}) between two device
-  // FlushBarriers. After this returns, the transaction is durable; the
-  // caller then writes the pages to their home locations (checkpointing).
-  // On barrier firmware the device serves both barriers order-only: the
-  // commit is ordered but possibly still in flight on return (epoch-prefix
-  // durability).
-  Status CommitTransaction(
-      const std::vector<std::pair<uint64_t, const uint8_t*>>& pages);
+  // Journals `n` pages (home page number `homes[i]`, contents `datas[i]`)
+  // between two device FlushBarriers. After this returns, the transaction
+  // is durable; the caller then writes the pages to their home locations
+  // (checkpointing). On barrier firmware the device serves both barriers
+  // order-only: the commit is ordered but possibly still in flight on
+  // return (epoch-prefix durability).
+  Status CommitTransaction(const uint64_t* homes, const uint8_t* const* datas,
+                           size_t n);
 
   // Mount-time scan: if a complete transaction is present, replays it to the
   // home locations. Idempotent.
