@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/sim_clock.h"
 #include "storage/sim_ssd.h"
 #include "trace/trace_file.h"
@@ -336,6 +338,122 @@ TEST(NcqTest, BatchIsFasterThanSynchronousWrites) {
     return clock.Now() - start;
   };
   EXPECT_LT(2 * run(true), run(false));
+}
+
+// Every non-data command pays exactly one command overhead, counts once in
+// its class (trim_commands, or barrier_commands for a flush) plus once in its
+// own counter, and records one SATA event. Each case runs on two devices
+// whose command overhead differs by kExtra, after the same setup and a
+// quiesce, so the device-side work takes the same time on both and the
+// command's elapsed times differ by one overhead per overhead it charged.
+TEST(NonDataCommandTest, OneOverheadOneCountOneEvent) {
+  constexpr TxId kTx = 4;
+  constexpr SimNanos kExtra = 7000;
+  using Counter = uint64_t SataStats::*;
+  struct Case {
+    const char* name;
+    ftl::CommitMode mode;
+    trace::Op op;
+    Counter klass;
+    Counter verb;  // null when the class counter is the only one
+    std::function<void(SataDevice*)> setup;
+    std::function<Status(SataDevice*)> run;
+  };
+  const Counter kTrim = &SataStats::trim_commands;
+  const Counter kBarrier = &SataStats::barrier_commands;
+  auto open_tx = [](SataDevice* dev) {
+    std::vector<uint8_t> p(dev->page_size(), 1);
+    CHECK(dev->TxWrite(kTx, 2, p.data()).ok());
+  };
+  auto prepared_tx = [&](SataDevice* dev) {
+    open_tx(dev);
+    CHECK(dev->TxPrepare(kTx).ok());
+  };
+  uint64_t pinned = 0;
+  const ftl::CommitMode kDrain = ftl::CommitMode::kDrain;
+  const std::vector<Case> cases = {
+      {"trim", kDrain, trace::Op::kTrim, kTrim, nullptr,
+       [](SataDevice* dev) {
+         std::vector<uint8_t> p(dev->page_size(), 1);
+         CHECK(dev->Write(3, p.data()).ok());
+       },
+       [](SataDevice* dev) { return dev->Trim(3); }},
+      {"flush", kDrain, trace::Op::kFlush, kBarrier, nullptr, open_tx,
+       [](SataDevice* dev) { return dev->FlushBarrier(); }},
+      {"await-durable", kDrain, trace::Op::kFlush, kBarrier, nullptr, open_tx,
+       [](SataDevice* dev) { return dev->AwaitDurable(); }},
+      {"order-only barrier", ftl::CommitMode::kBarrier, trace::Op::kBarrier,
+       kBarrier, nullptr, open_tx,
+       [](SataDevice* dev) { return dev->FlushBarrier(); }},
+      {"commit", kDrain, trace::Op::kTxCommit, kTrim,
+       &SataStats::commit_commands, open_tx,
+       [](SataDevice* dev) { return dev->TxCommit(kTx); }},
+      {"prepare", kDrain, trace::Op::kTxPrepare, kTrim,
+       &SataStats::prepare_commands, open_tx,
+       [](SataDevice* dev) { return dev->TxPrepare(kTx); }},
+      {"commit record", kDrain, trace::Op::kCommitRecord, kTrim,
+       &SataStats::commit_record_commands, prepared_tx,
+       [](SataDevice* dev) { return dev->WriteCommitRecord(kTx); }},
+      {"release record", kDrain, trace::Op::kCommitRecord, kTrim,
+       &SataStats::commit_record_commands,
+       [&](SataDevice* dev) {
+         prepared_tx(dev);
+         CHECK(dev->WriteCommitRecord(kTx).ok());
+       },
+       [](SataDevice* dev) { return dev->ReleaseCommitRecord(kTx); }},
+      {"resolve", kDrain, trace::Op::kResolve, kTrim,
+       &SataStats::resolve_commands, prepared_tx,
+       [](SataDevice* dev) { return dev->ResolveInDoubt(kTx, true); }},
+      {"snapshot pin", kDrain, trace::Op::kSnapPin, kTrim,
+       &SataStats::snap_pin_commands, open_tx,
+       [](SataDevice* dev) { return dev->SnapPin().status(); }},
+      {"snapshot unpin", kDrain, trace::Op::kSnapUnpin, kTrim,
+       &SataStats::snap_unpin_commands,
+       [&](SataDevice* dev) { pinned = dev->SnapPin().value(); },
+       [&](SataDevice* dev) { return dev->SnapUnpin(pinned); }},
+      {"abort", kDrain, trace::Op::kTxAbort, kTrim, &SataStats::abort_commands,
+       open_tx, [](SataDevice* dev) { return dev->TxAbort(kTx); }},
+  };
+  auto sata_events = [](const trace::Tracer& tracer) {
+    uint64_t n = 0;
+    for (int op = 0; op < trace::kNumOps; ++op) {
+      n += tracer.latency(trace::Layer::kSata, trace::Op(op)).count();
+    }
+    return n;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SimNanos elapsed[2];
+    for (int extra = 0; extra < 2; ++extra) {
+      SsdSpec spec = TinySpec(true);
+      spec.ftl.commit_mode = c.mode;
+      spec.sata.command_overhead += extra * kExtra;
+      SimClock clock;
+      SimSsd ssd(spec, &clock);
+      SataDevice* dev = ssd.device();
+      trace::Tracer tracer;
+      ssd.SetTracer(&tracer);
+      c.setup(dev);
+      ASSERT_TRUE(dev->AwaitDurable().ok());
+      clock.Advance(1'000'000'000);  // every bank idle
+      const SataStats base = dev->stats();
+      const uint64_t events = sata_events(tracer);
+      const uint64_t op_events =
+          tracer.latency(trace::Layer::kSata, c.op).count();
+      const SimNanos t0 = clock.Now();
+      ASSERT_TRUE(c.run(dev).ok());
+      elapsed[extra] = clock.Now() - t0;
+
+      const SataStats d = CounterDelta(dev->stats(), base);
+      for (Counter f : SataStats::kCounters) {
+        EXPECT_EQ(d.*f, (f == c.klass || f == c.verb) ? 1u : 0u);
+      }
+      EXPECT_EQ(sata_events(tracer) - events, 1u);
+      EXPECT_EQ(tracer.latency(trace::Layer::kSata, c.op).count() - op_events,
+                1u);
+    }
+    EXPECT_EQ(elapsed[1] - elapsed[0], kExtra);
+  }
 }
 
 TEST(DeviceProfileTest, OpenSsdMatchesPaperGeometry) {
