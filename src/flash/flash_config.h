@@ -65,14 +65,13 @@ struct FaultModel {
 // banks, exactly the hazard barrier-enabled I/O stacks guard against.
 //
 // Everything is derived from `seed`, so a crash state is reproducible.
-// `legacy_full_tear` reproduces the pre-buffer model (every buffered program
-// persists; the torn page is whole-page garbage) for the deterministic
-// boundary sweeps.
+// `persist_prob` = 1 keeps every buffered program: the deterministic cut of
+// the boundary sweeps.
 struct CrashPlan {
-  uint64_t crash_after_programs = 0;  // N-th program from arming (1 = next)
+  // N-th program from arming (1 = next; 0 is clamped to 1).
+  uint64_t crash_after_programs = 0;
   uint64_t seed = 0;
   double persist_prob = 0.5;  // per buffered program, prefix-consistent
-  bool legacy_full_tear = false;
 };
 
 struct FlashConfig {

@@ -498,8 +498,7 @@ Status FlashDevice::CrashNow(Ppn ppn, const uint8_t* data,
     uint8_t* dst = PageData(blk, crash_page);
     garbage_rng_.FillBytes(dst, config_.page_size);
     uint32_t sectors = std::max(1u, config_.page_size / config_.sector_size);
-    uint32_t landed =
-        crash_plan_.legacy_full_tear ? 0 : uint32_t(rng.Uniform(sectors));
+    uint32_t landed = uint32_t(rng.Uniform(sectors));
     std::memcpy(dst, data, size_t(landed) * config_.sector_size);
     blk.page_state[crash_page] = PageState::kTorn;
     blk.oob[crash_page] = oob;  // OOB may or may not have landed; keep it

@@ -424,7 +424,8 @@ Status StripedVolume::TxCommit(storage::TxId t) {
     tear_commit_record_ = false;
     // The next program on the coordinator — the first page of the commit
     // record's X-L2P snapshot — tears mid-write.
-    members_[0]->flash()->ArmPowerFailure(1);
+    members_[0]->flash()->ArmCrashPlan(
+        {.crash_after_programs = 1, .persist_prob = 1.0});
   }
 
   // --- commit point: the record on the coordinator. Not durable → the

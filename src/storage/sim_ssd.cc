@@ -100,15 +100,13 @@ void SimSsd::CutPower() {
 
 Status SimSsd::Reboot() {
   XFTL_RETURN_IF_ERROR(ftl_->Recover());
-  if (spec_.fsck_on_power_cycle) {
-    check::FsckOptions opt;
-    opt.ftl = spec_.ftl;
-    opt.transactional = spec_.transactional;
-    check::FsckReport report = check::CheckRecovered(*flash_, opt, *ftl_);
-    if (!report.ok()) {
-      return Status::Corruption("post-recovery fsck failed:\n" +
-                                report.Summary());
-    }
+  check::FsckOptions opt;
+  opt.ftl = spec_.ftl;
+  opt.transactional = spec_.transactional;
+  check::FsckReport report = check::CheckRecovered(*flash_, opt, *ftl_);
+  if (!report.ok()) {
+    return Status::Corruption("post-recovery fsck failed:\n" +
+                              report.Summary());
   }
   return Status::OK();
 }

@@ -25,10 +25,6 @@ struct SsdSpec {
   LinkRecoveryPolicy link_policy;
   // Build an X-FTL (extended command set) or the original page-mapping FTL.
   bool transactional = true;
-  // Run the offline invariant checker (xftl_fsck) against the recovered
-  // state after every PowerCycle(). Cheap at simulated scale; tests leave it
-  // on so every crash point in the suite is also an fsck test case.
-  bool fsck_on_power_cycle = true;
 };
 
 // OpenSSD profile (paper §6.1): Samsung K9LCG08U1M MLC, 8 KB pages, 128
@@ -57,8 +53,9 @@ class SimSsd {
 
   // Simulated power cycle: the plug is pulled (undrained buffered programs
   // are lost, SATA front-end state evaporates), then the drive reboots and
-  // rebuilds its volatile state from flash. When the spec asks for it, the
-  // recovered state is cross-checked by the offline invariant checker.
+  // rebuilds its volatile state from flash. Every reboot cross-checks the
+  // recovered state with the offline invariant checker (xftl_fsck), so every
+  // crash point in the suite is also an fsck test case.
   Status PowerCycle();
 
   // The two halves of PowerCycle, exposed separately for array controllers

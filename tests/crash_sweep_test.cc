@@ -17,8 +17,9 @@
 // WAL frames, X-L2P snapshots, checkpoints and GC.
 //
 // Two suites share one body:
-//   * Points — the original deterministic crash points (legacy full-tear
-//     power failure at program K), still pinned so regressions bisect.
+//   * Points — the original deterministic crash points (a cut at program
+//     K that keeps every buffered program), still pinned so regressions
+//     bisect.
 //   * Randomized — seeded CrashPlans: crash point, per-program survival of
 //     the volatile write buffer and the torn-sector count are all drawn from
 //     the seed, turning the sweep into a randomized model checker that is
@@ -82,8 +83,9 @@ struct SweepParam {
   uint64_t erase_fail_every = 0;
   // FTL under test: the transactional X-FTL or the plain page-mapping FTL.
   bool transactional = true;
-  // When non-zero, arm a seeded CrashPlan (randomized buffer survival +
-  // sector-granular tear) instead of the legacy deterministic full tear.
+  // Seeds the CrashPlan (buffer survival and the torn page's sector
+  // boundary). A seed of 0 is a deterministic row: every buffered program
+  // persists, whatever persist_prob says.
   uint64_t seed = 0;
   double persist_prob = 0.5;
   // Compose probabilistic SATA link faults (CRC retransfers, NCQ timeouts,
@@ -214,14 +216,12 @@ void RunCrashPoint(const SweepParam& param, CrashOutcome* out) {
   ssd.flash()->ScriptEraseFailEvery(param.erase_fail_every);
   if (param.clean_cut) {
     // No armed failure: the cut lands between transactions, below.
-  } else if (param.seed != 0) {
+  } else {
     flash::CrashPlan plan;
     plan.crash_after_programs = param.crash_after_programs;
     plan.seed = param.seed;
-    plan.persist_prob = param.persist_prob;
+    plan.persist_prob = param.seed != 0 ? param.persist_prob : 1.0;
     ssd.flash()->ArmCrashPlan(plan);
-  } else {
-    ssd.flash()->ArmPowerFailure(param.crash_after_programs);
   }
   // A pinned reader alive at the cut point: pin the post-schema snapshot at
   // the device and hold it across the crash. The snapshot read must keep

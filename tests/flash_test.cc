@@ -389,7 +389,7 @@ TEST_F(FlashDeviceTest, PowerCutResetsFenceButKeepsEpochMonotone) {
 TEST_F(FlashDeviceTest, PowerFailureTearsPageAndHaltsDevice) {
   auto data = Pattern(0x88);
   ASSERT_TRUE(dev_.ProgramPage(0, data.data(), {}).ok());
-  dev_.ArmPowerFailure(1);
+  dev_.ArmCrashPlan({.crash_after_programs = 1, .persist_prob = 1.0});
   Status s = dev_.ProgramPage(1, data.data(), {.lpn = 9, .seq = 5, .tag = 1});
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   EXPECT_TRUE(dev_.HasFailed());
@@ -409,7 +409,7 @@ TEST_F(FlashDeviceTest, PowerFailureTearsPageAndHaltsDevice) {
 
 TEST_F(FlashDeviceTest, PowerFailureCountdown) {
   auto data = Pattern(0x99);
-  dev_.ArmPowerFailure(3);
+  dev_.ArmCrashPlan({.crash_after_programs = 3, .persist_prob = 1.0});
   EXPECT_TRUE(dev_.ProgramPage(0, data.data(), {}).ok());
   EXPECT_TRUE(dev_.ProgramPage(1, data.data(), {}).ok());
   EXPECT_EQ(dev_.ProgramPage(2, data.data(), {}).code(), StatusCode::kIoError);
@@ -417,7 +417,7 @@ TEST_F(FlashDeviceTest, PowerFailureCountdown) {
 
 TEST_F(FlashDeviceTest, TornPageStillCountsProgramOrder) {
   auto data = Pattern(0xAA);
-  dev_.ArmPowerFailure(1);
+  dev_.ArmCrashPlan({.crash_after_programs = 1, .persist_prob = 1.0});
   EXPECT_FALSE(dev_.ProgramPage(0, data.data(), {}).ok());
   dev_.ClearFailure();
   // The torn page consumed program slot 0; the next in-order page is 1.
@@ -429,7 +429,7 @@ TEST_F(FlashDeviceTest, ContentsSurviveReboot) {
   auto data = Pattern(0xBB);
   PageOob oob{.lpn = 42, .seq = 17, .tag = 1};
   ASSERT_TRUE(dev_.ProgramPage(0, data.data(), oob).ok());
-  dev_.ArmPowerFailure(1);
+  dev_.ArmCrashPlan({.crash_after_programs = 1, .persist_prob = 1.0});
   (void)dev_.ProgramPage(1, data.data(), {});
   dev_.ClearFailure();
 
@@ -510,25 +510,14 @@ TEST_F(FlashDeviceTest, OobBatchRefusesDeadDeviceAndBadPpn) {
 
 // --- NAND failure injection -------------------------------------------------
 
-TEST_F(FlashDeviceTest, ArmPowerFailureZeroFailsNextProgram) {
+TEST_F(FlashDeviceTest, CrashPlanAfterZeroProgramsFailsNextProgram) {
   // Regression: a countdown of 0 used to leave the counter in a state that
-  // never fired (it wrapped instead). Disarmed is a dedicated sentinel now,
-  // so 0 defensively means "the very next program".
+  // never fired (it wrapped instead). ArmCrashPlan clamps 0 to 1, so a plan
+  // after 0 programs defensively means "the very next program".
   auto data = Pattern(0xCC);
-  EXPECT_FALSE(dev_.PowerFailureArmed());
-  dev_.ArmPowerFailure(0);
-  EXPECT_TRUE(dev_.PowerFailureArmed());
+  dev_.ArmCrashPlan({.crash_after_programs = 0, .persist_prob = 1.0});
   EXPECT_EQ(dev_.ProgramPage(0, data.data(), {}).code(), StatusCode::kIoError);
   EXPECT_TRUE(dev_.HasFailed());
-}
-
-TEST_F(FlashDeviceTest, DisarmPowerFailureCancels) {
-  auto data = Pattern(0xCD);
-  dev_.ArmPowerFailure(1);
-  dev_.DisarmPowerFailure();
-  EXPECT_FALSE(dev_.PowerFailureArmed());
-  EXPECT_TRUE(dev_.ProgramPage(0, data.data(), {}).ok());
-  EXPECT_FALSE(dev_.HasFailed());
 }
 
 TEST_F(FlashDeviceTest, ScriptedProgramFailGrowsBadBlock) {

@@ -302,7 +302,7 @@ TEST(HostCrashTest, SessionsRecoverAfterArrayPowerCut) {
   // Two sessions, two databases, interleaved commits on a 2-device array;
   // the cut fires mid-run on member 0's flash (one rail: CrashAndRecover
   // cuts EVERY member at that same instant). Every member runs xftl_fsck on
-  // reboot (fsck_on_power_cycle defaults on).
+  // reboot.
   workload::HarnessConfig hc;
   hc.setup = workload::Setup::kXftl;
   hc.device_blocks = 64;
@@ -316,7 +316,8 @@ TEST(HostCrashTest, SessionsRecoverAfterArrayPowerCut) {
 
   // Arm the power failure a few hundred programs in, on member 0. The
   // whole array dies together when the harness power-cycles the volume.
-  h.ssd(0)->flash()->ArmPowerFailure(400);
+  h.ssd(0)->flash()->ArmCrashPlan(
+      {.crash_after_programs = 400, .persist_prob = 1.0});
 
   workload::MultiSessionConfig mc;
   mc.sessions = 2;

@@ -187,7 +187,7 @@ TEST_F(XFtlTest, CrashDuringCommitSnapshotRollsBack) {
   auto d = Page(2);
   ASSERT_TRUE(ftl_.TxWrite(5, 0, d.data()).ok());
   // Tear the very next program: that is the X-L2P snapshot page itself.
-  dev_.ArmPowerFailure(1);
+  dev_.ArmCrashPlan({.crash_after_programs = 1, .persist_prob = 1.0});
   Status s = ftl_.TxCommit(5);
   EXPECT_FALSE(s.ok());
   ASSERT_TRUE(ftl_.Recover().ok());
@@ -640,7 +640,7 @@ TEST_F(AtomicWriteFtlTest, CrashBeforeCommitRecordRollsBackWholeBatch) {
 
   auto a2 = Page(10), b2 = Page(20);
   // Tear the second data page: the commit record is never written.
-  dev_.ArmPowerFailure(2);
+  dev_.ArmCrashPlan({.crash_after_programs = 2, .persist_prob = 1.0});
   Status s = ftl_.WriteAtomic({{0, a2.data()}, {1, b2.data()}});
   EXPECT_FALSE(s.ok());
   ASSERT_TRUE(ftl_.Recover().ok());
@@ -742,7 +742,8 @@ TEST_F(SccFtlTest, TornCycleRollsBackWholeBatch) {
   ASSERT_TRUE(ftl_.WriteAtomic({{0, a.data()}, {1, b.data()}}).ok());
   ASSERT_TRUE(ftl_.Flush().ok());
   auto a2 = Page(10), b2 = Page(20);
-  dev_.ArmPowerFailure(2);  // the second page of the new cycle tears
+  // The second page of the new cycle tears.
+  dev_.ArmCrashPlan({.crash_after_programs = 2, .persist_prob = 1.0});
   EXPECT_FALSE(ftl_.WriteAtomic({{0, a2.data()}, {1, b2.data()}}).ok());
   ASSERT_TRUE(ftl_.Recover().ok());
   EXPECT_GE(ftl_.discarded_cycles(), 1u);
