@@ -327,10 +327,11 @@ Status Pager::MarkPageDirty(Pgno pgno) {
   PageFrame& e = it->second;
   // The caller is about to write the frame: its cell index goes stale.
   e.cells.Clear();
-  if (options_.journal_mode == SqlJournalMode::kDelete && !e.journaled) {
+  if (options_.journal_mode == SqlJournalMode::kDelete &&
+      !journaled_.contains(pgno)) {
     // Save the transaction-start version before the first modification.
     XFTL_RETURN_IF_ERROR(JournalOriginal(pgno, e.data.data()));
-    e.journaled = true;
+    journaled_.insert(pgno);
   }
   if (!e.dirty) dirtied_.push_back(pgno);
   e.dirty = true;
@@ -576,8 +577,7 @@ Status Pager::Commit() {
       break;
     }
   }
-  // A journaled page is a dirty one, so this clears every journaled bit.
-  for (Pgno pgno : dirty) cache_.at(pgno).journaled = false;
+  journaled_.clear();
   dirtied_.clear();
   in_txn_ = false;
   stats_.commits++;
@@ -619,7 +619,7 @@ Status Pager::Rollback() {
   uint64_t dropped = 0;
   for (Pgno pgno : dirtied_) {
     auto it = cache_.find(pgno);
-    if (it == cache_.end() || !(it->second.dirty || it->second.journaled)) {
+    if (it == cache_.end() || !it->second.dirty) {
       continue;  // stolen, or listed twice
     }
     CHECK_EQ(it->second.pins, 0) << "rolling back a pinned page";
@@ -627,6 +627,7 @@ Status Pager::Rollback() {
     cache_.erase(it);
     dropped++;
   }
+  journaled_.clear();
   dirtied_.clear();
   in_txn_ = false;
   stats_.rollbacks++;
@@ -722,8 +723,7 @@ Status Pager::ReplayHotJournal() {
       DecodeFixed32(hdr.data() + 8) == page_size_) {
     uint32_t nrec = DecodeFixed32(hdr.data() + 4);
     std::vector<uint8_t> rec(8 + page_size_);
-    // A page stolen and dirtied again in one transaction is journaled again,
-    // as it then was; only its first record holds the original.
+    // Only a page's first record holds its original, should it repeat.
     std::unordered_set<Pgno> restored;
     for (uint32_t i = 0; i < nrec; ++i) {
       uint64_t off = uint64_t(page_size_) + uint64_t(i) * (8 + page_size_);

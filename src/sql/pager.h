@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -94,7 +95,6 @@ struct CellIndex {
 struct PageFrame {
   std::vector<uint8_t> data;
   bool dirty = false;
-  bool journaled = false;  // original content saved to rollback journal
   int pins = 0;
   std::list<Pgno>::iterator lru_it;
   CellIndex cells;
@@ -272,7 +272,10 @@ class Pager {
   // whole cache. A steal takes its page off the list.
   std::vector<Pgno> dirtied_;
 
-  // Rollback-journal state.
+  // Rollback-journal state. journaled_ holds the pages whose original the
+  // open transaction already saved (SQLite's pInJournal): a page stolen and
+  // dirtied again is not journaled twice.
+  std::unordered_set<Pgno> journaled_;
   fs::Fd journal_fd_ = -1;
   uint32_t journal_records_ = 0;
   bool journal_synced_ = false;
