@@ -182,8 +182,7 @@ int Run(int argc, char** argv) {
             .Add("read_p99_ms", read_lat.Percentile(99) / 1e6)
             .Add("snap_read_commands", snap_reads)
             .Add("version_hits", version_hits)
-            .Add("reclaim_deferrals", deferrals)
-            .Add("violations", uint64_t(0));
+            .Add("reclaim_deferrals", deferrals);
         o.Print();
       } else {
         std::printf("%6s %8u %12.0f %14.0f %12.2f %12llu\n", setup.c_str(),
