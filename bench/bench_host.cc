@@ -69,6 +69,12 @@ int Run(int argc, char** argv) {
   const long kill_member = FlagInt(argc, argv, "kill-member", -1);
   const long kill_after = FlagInt(argc, argv, "kill-after", 50);
   const bool json = FlagBool(argc, argv, "json");
+  if (!FlagOneOf("profile", profile, {"s830", "openssd"}) ||
+      !FlagOneOf("setup", setup, {"xftl", "wal", "rbj"}) ||
+      (!commit.empty() &&
+       !FlagOneOf("commit", commit, {"drain", "barrier", "plp"}))) {
+    return 1;
+  }
 
   std::vector<Cell> cells;
   std::vector<uint32_t> device_axis =
@@ -109,9 +115,6 @@ int Run(int argc, char** argv) {
       hc.commit_mode = ftl::CommitMode::kBarrier;
     } else if (commit == "plp") {
       hc.commit_mode = ftl::CommitMode::kPlp;
-    } else if (!commit.empty()) {
-      std::fprintf(stderr, "--commit must be drain, barrier or plp\n");
-      return 1;
     }
     workload::Harness h(hc);
     Status st = h.Setup();

@@ -65,6 +65,11 @@ int Run(int argc, char** argv) {
   const std::string trace = FlagString(argc, argv, "trace", "");
   const bool json = FlagBool(argc, argv, "json");
   const bool check = FlagBool(argc, argv, "check");
+  if ((!setup_flag.empty() &&
+       !FlagOneOf("setup", setup_flag, {"xftl", "wal", "rbj"})) ||
+      !FlagOneOf("profile", profile, {"s830", "openssd"})) {
+    return 1;
+  }
 
   std::vector<std::string> setups =
       setup_flag.empty() ? std::vector<std::string>{"xftl", "wal", "rbj"}

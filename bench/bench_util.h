@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 namespace xftl::bench {
@@ -45,6 +46,20 @@ inline std::string FlagString(int argc, char** argv, const char* name,
     }
   }
   return def;
+}
+
+// True if string flag `name` holds one of `allowed`; otherwise says so on
+// stderr, so a mistyped value fails instead of quietly picking a default.
+inline bool FlagOneOf(const char* name, const std::string& value,
+                      std::initializer_list<const char*> allowed) {
+  std::string list;
+  for (const char* a : allowed) {
+    if (value == a) return true;
+    list += (list.empty() ? "" : "|") + std::string(a);
+  }
+  std::fprintf(stderr, "--%s=%s: must be one of %s\n", name, value.c_str(),
+               list.c_str());
+  return false;
 }
 
 inline void PrintHeader(const char* title) {

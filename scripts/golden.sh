@@ -31,7 +31,7 @@ RUNS=(
   "ablation_array_faults|bench/ablation_array_faults --json"
   "ablation_barrier|bench/ablation_barrier --json"
   "ablation_faults|bench/ablation_faults --json"
-  "ablation_gc|bench/ablation_gc --scale=0.2"
+  "ablation_gc|bench/ablation_gc"
   "ablation_parallelism|bench/ablation_parallelism --writes=1000 --json"
   "ablation_reliability|bench/ablation_reliability --json"
   "ablation_xftl|bench/ablation_xftl"

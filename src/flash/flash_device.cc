@@ -202,12 +202,6 @@ Status FlashDevice::ReadPage(Ppn ppn, uint8_t* data, PageOob* oob,
   return Status::OK();
 }
 
-StatusOr<std::optional<PageOob>> FlashDevice::ReadOob(Ppn ppn) {
-  std::vector<std::optional<PageOob>> out;
-  XFTL_RETURN_IF_ERROR(ReadOobBatch({ppn}, &out));
-  return out[0];
-}
-
 Status FlashDevice::ReadOobBatch(const std::vector<Ppn>& ppns,
                                  std::vector<std::optional<PageOob>>* out) {
   XFTL_RETURN_IF_ERROR(CheckAlive());

@@ -86,10 +86,6 @@ class FlashDevice {
   Status ReadPage(Ppn ppn, uint8_t* data, PageOob* oob = nullptr,
                   uint32_t* bit_errors = nullptr, uint32_t retry_level = 0);
 
-  // Reads only the OOB metadata of `ppn`: the one-page case of ReadOobBatch.
-  // Returns nullopt for erased pages.
-  StatusOr<std::optional<PageOob>> ReadOob(Ppn ppn);
-
   // Senses the OOB of every page in `ppns` as one queued batch (the
   // recovery scan). Each sense pays tR on its page's bank but almost no
   // channel time, so senses on different banks overlap and senses on one

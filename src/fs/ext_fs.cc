@@ -370,20 +370,36 @@ Status ExtFs::FreeFilePages(Ino ino, Inode* inode, uint64_t from_idx) {
 // directory
 // ---------------------------------------------------------------------------
 
-StatusOr<Ino> ExtFs::Lookup(const std::string& name) {
-  XFTL_ASSIGN_OR_RETURN(Inode root, LoadInode(kRootIno));
-  uint64_t slots = root.size / kDirentSize;
+template <typename Visit>
+StatusOr<uint64_t> ExtFs::WalkDirents(Inode* root, Visit visit) {
+  const uint64_t slots = root->size / kDirentSize;
   for (uint64_t s = 0; s < slots; ++s) {
     uint64_t idx = s * kDirentSize / sb_.page_size;
     XFTL_ASSIGN_OR_RETURN(
-        uint32_t page, FilePage(kRootIno, &root, idx, /*alloc=*/false, nullptr));
+        uint32_t page, FilePage(kRootIno, root, idx, /*alloc=*/false, nullptr));
     if (page == kNoPage) continue;
     XFTL_ASSIGN_OR_RETURN(BufferCache::Entry * e, cache_->Get(page));
-    Dirent d;
-    d.DecodeFrom(e->data.data() + (s * kDirentSize) % sb_.page_size);
-    if (d.in_use && d.name == name) return d.ino;
+    DirSlot slot{e, size_t((s * kDirentSize) % sb_.page_size), {}};
+    slot.dirent.DecodeFrom(e->data.data() + slot.off);
+    XFTL_ASSIGN_OR_RETURN(bool stop, visit(slot));
+    if (stop) return s;
   }
-  return Status::NotFound("no such file: " + name);
+  return slots;
+}
+
+StatusOr<Ino> ExtFs::Lookup(const std::string& name) {
+  XFTL_ASSIGN_OR_RETURN(Inode root, LoadInode(kRootIno));
+  Ino ino = 0;
+  XFTL_ASSIGN_OR_RETURN(
+      uint64_t slot, WalkDirents(&root, [&](DirSlot& s) -> StatusOr<bool> {
+        if (!s.dirent.in_use || s.dirent.name != name) return false;
+        ino = s.dirent.ino;
+        return true;
+      }));
+  if (slot == root.size / kDirentSize) {
+    return Status::NotFound("no such file: " + name);
+  }
+  return ino;
 }
 
 Status ExtFs::AddDirent(const std::string& name, Ino ino) {
@@ -391,21 +407,12 @@ Status ExtFs::AddDirent(const std::string& name, Ino ino) {
     return Status::InvalidArgument("bad file name");
   }
   XFTL_ASSIGN_OR_RETURN(Inode root, LoadInode(kRootIno));
-  uint64_t slots = root.size / kDirentSize;
-  uint64_t target = slots;  // append by default
-  for (uint64_t s = 0; s < slots; ++s) {
-    uint64_t idx = s * kDirentSize / sb_.page_size;
-    XFTL_ASSIGN_OR_RETURN(
-        uint32_t page, FilePage(kRootIno, &root, idx, /*alloc=*/false, nullptr));
-    if (page == kNoPage) continue;
-    XFTL_ASSIGN_OR_RETURN(BufferCache::Entry * e, cache_->Get(page));
-    Dirent d;
-    d.DecodeFrom(e->data.data() + (s * kDirentSize) % sb_.page_size);
-    if (!d.in_use) {
-      target = s;
-      break;
-    }
-  }
+  const uint64_t slots = root.size / kDirentSize;
+  // The first free slot, else append.
+  XFTL_ASSIGN_OR_RETURN(
+      uint64_t target, WalkDirents(&root, [](DirSlot& s) -> StatusOr<bool> {
+        return !s.dirent.in_use;
+      }));
   uint64_t idx = target * kDirentSize / sb_.page_size;
   bool created = false;
   XFTL_ASSIGN_OR_RETURN(
@@ -432,24 +439,18 @@ Status ExtFs::AddDirent(const std::string& name, Ino ino) {
 
 Status ExtFs::RemoveDirent(const std::string& name) {
   XFTL_ASSIGN_OR_RETURN(Inode root, LoadInode(kRootIno));
-  uint64_t slots = root.size / kDirentSize;
-  for (uint64_t s = 0; s < slots; ++s) {
-    uint64_t idx = s * kDirentSize / sb_.page_size;
-    XFTL_ASSIGN_OR_RETURN(
-        uint32_t page, FilePage(kRootIno, &root, idx, /*alloc=*/false, nullptr));
-    if (page == kNoPage) continue;
-    XFTL_ASSIGN_OR_RETURN(BufferCache::Entry * e, cache_->Get(page));
-    size_t off = (s * kDirentSize) % sb_.page_size;
-    Dirent d;
-    d.DecodeFrom(e->data.data() + off);
-    if (d.in_use && d.name == name) {
-      d.in_use = false;
-      d.EncodeTo(e->data.data() + off);
-      cache_->MarkDirty(e, /*metadata=*/true, 0);
-      return Status::OK();
-    }
+  XFTL_ASSIGN_OR_RETURN(
+      uint64_t slot, WalkDirents(&root, [&](DirSlot& s) -> StatusOr<bool> {
+        if (!s.dirent.in_use || s.dirent.name != name) return false;
+        s.dirent.in_use = false;
+        s.dirent.EncodeTo(s.page->data.data() + s.off);
+        cache_->MarkDirty(s.page, /*metadata=*/true, 0);
+        return true;
+      }));
+  if (slot == root.size / kDirentSize) {
+    return Status::NotFound("no such file: " + name);
   }
-  return Status::NotFound("no such file: " + name);
+  return Status::OK();
 }
 
 std::vector<std::string> ExtFs::ListDir() {
@@ -994,26 +995,21 @@ StatusOr<FsckReport> ExtFs::Fsck() {
   std::set<Ino> reachable{kRootIno};
   XFTL_RETURN_IF_ERROR(walk_inode(kRootIno));
   XFTL_ASSIGN_OR_RETURN(Inode root, LoadInode(kRootIno));
-  uint64_t slots = root.size / kDirentSize;
-  for (uint64_t s = 0; s < slots; ++s) {
-    uint64_t idx = s * kDirentSize / sb_.page_size;
-    XFTL_ASSIGN_OR_RETURN(
-        uint32_t page, FilePage(kRootIno, &root, idx, /*alloc=*/false, nullptr));
-    if (page == kNoPage) continue;
-    XFTL_ASSIGN_OR_RETURN(BufferCache::Entry * e, cache_->Get(page));
-    Dirent d;
-    d.DecodeFrom(e->data.data() + (s * kDirentSize) % sb_.page_size);
-    if (!d.in_use) continue;
-    if (d.ino >= sb_.inode_count) {
-      return Status::Corruption("dirent '" + d.name + "' has bad inode");
-    }
-    if (!reachable.insert(d.ino).second) {
-      return Status::Corruption("inode " + std::to_string(d.ino) +
-                                " has two directory entries");
-    }
-    XFTL_RETURN_IF_ERROR(walk_inode(d.ino));
-    report.files++;
-  }
+  XFTL_RETURN_IF_ERROR(
+      WalkDirents(&root, [&](DirSlot& s) -> StatusOr<bool> {
+        const Dirent& d = s.dirent;
+        if (!d.in_use) return false;
+        if (d.ino >= sb_.inode_count) {
+          return Status::Corruption("dirent '" + d.name + "' has bad inode");
+        }
+        if (!reachable.insert(d.ino).second) {
+          return Status::Corruption("inode " + std::to_string(d.ino) +
+                                    " has two directory entries");
+        }
+        XFTL_RETURN_IF_ERROR(walk_inode(d.ino));
+        report.files++;
+        return false;
+      }).status());
 
   // Orphan inodes: allocated but unreachable.
   for (Ino ino = 0; ino < sb_.inode_count; ++ino) {

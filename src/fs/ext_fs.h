@@ -48,8 +48,6 @@ struct FsOptions {
   uint32_t cache_pages = 1024;
   uint32_t inode_count = 512;
   uint32_t journal_pages = 64;
-  // Host CPU cost charged per system call.
-  SimNanos syscall_overhead = Micros(3);
 };
 
 // Result of a consistency check (Fsck).
@@ -184,7 +182,9 @@ class ExtFs {
     bool valid = false;
   };
 
-  void ChargeSyscall() { clock_->Advance(options_.syscall_overhead); }
+  // Host CPU cost charged per system call.
+  static constexpr SimNanos kSyscallOverhead = Micros(3);
+  void ChargeSyscall() { clock_->Advance(kSyscallOverhead); }
 
   // --- inode and bitmap helpers -------------------------------------------
   StatusOr<Inode> LoadInode(Ino ino);
@@ -202,6 +202,18 @@ class ExtFs {
   Status FreeFilePages(Ino ino, Inode* inode, uint64_t from_idx);
 
   // --- directory -----------------------------------------------------------
+  // One root-directory slot: the cached page holding it, its byte offset in
+  // that page and its decoded entry.
+  struct DirSlot {
+    BufferCache::Entry* page;
+    size_t off;
+    Dirent dirent;
+  };
+  // The one walk over the root directory (`*root`): visits every slot on a
+  // mapped page in order. `visit(DirSlot&)` returns true to stop there, or
+  // an error to abort. Returns the slot it stopped at, else the slot count.
+  template <typename Visit>
+  StatusOr<uint64_t> WalkDirents(Inode* root, Visit visit);
   StatusOr<Ino> Lookup(const std::string& name);
   Status AddDirent(const std::string& name, Ino ino);
   Status RemoveDirent(const std::string& name);

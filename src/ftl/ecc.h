@@ -18,24 +18,21 @@
 
 namespace xftl::ftl {
 
-struct EccConfig {
-  // Correction strength in bits per page (BCH over the page's sectors; the
-  // OpenSSD-era MLC parts shipped with 16 bits per 512+spare sector — this
-  // is the whole-page budget our coarser model enforces).
-  uint32_t correctable_bits = 16;
-  // Read-retry rounds before a read is declared uncorrectable.
-  uint32_t max_read_retries = 4;
-  // Decoder latency charged when a read needed correction at all.
-  SimNanos decode_latency = Micros(8);
-  // Reference-voltage reconfiguration cost per retry round (the re-read
-  // itself is charged by the device as a normal page read).
-  SimNanos retry_setup_latency = Micros(40);
-};
+// Correction strength in bits per page (BCH over the page's sectors; the
+// OpenSSD-era MLC parts shipped with 16 bits per 512+spare sector — this is
+// the whole-page budget our coarser model enforces).
+inline constexpr uint32_t kEccCorrectableBits = 16;
+// Read-retry rounds before a read is declared uncorrectable.
+inline constexpr uint32_t kEccMaxReadRetries = 4;
+// Decoder latency charged when a read needed correction at all.
+inline constexpr SimNanos kEccDecodeLatency = Micros(8);
+// Reference-voltage reconfiguration cost per retry round (the re-read itself
+// is charged by the device as a normal page read).
+inline constexpr SimNanos kEccRetrySetupLatency = Micros(40);
 
 class EccEngine {
  public:
-  EccEngine(const EccConfig& config, SimClock* clock, FtlStats* stats)
-      : config_(config), clock_(clock), stats_(stats) {}
+  EccEngine(SimClock* clock, FtlStats* stats) : clock_(clock), stats_(stats) {}
 
   // Reads `ppn` through the decode + read-retry pipeline. Returns the
   // device's own error for torn pages / power loss, Corruption when the raw
@@ -46,18 +43,18 @@ class EccEngine {
     uint32_t bit_errors = 0;
     XFTL_RETURN_IF_ERROR(device->ReadPage(ppn, data, oob, &bit_errors, 0));
     if (bit_errors == 0) return Status::OK();
-    if (bit_errors <= config_.correctable_bits) {
-      clock_->Advance(config_.decode_latency);
+    if (bit_errors <= kEccCorrectableBits) {
+      clock_->Advance(kEccDecodeLatency);
       device->NoteEccCorrected(bit_errors);
       return Status::OK();
     }
-    for (uint32_t level = 1; level <= config_.max_read_retries; ++level) {
-      clock_->Advance(config_.retry_setup_latency);
+    for (uint32_t level = 1; level <= kEccMaxReadRetries; ++level) {
+      clock_->Advance(kEccRetrySetupLatency);
       stats_->ecc_read_retries++;
       XFTL_RETURN_IF_ERROR(
           device->ReadPage(ppn, data, oob, &bit_errors, level));
-      if (bit_errors <= config_.correctable_bits) {
-        clock_->Advance(config_.decode_latency);
+      if (bit_errors <= kEccCorrectableBits) {
+        clock_->Advance(kEccDecodeLatency);
         device->NoteEccCorrected(bit_errors);
         return Status::OK();
       }
@@ -68,7 +65,6 @@ class EccEngine {
   }
 
  private:
-  const EccConfig config_;
   SimClock* const clock_;
   FtlStats* const stats_;
 };

@@ -40,7 +40,7 @@ bool IsRootRecord(const uint8_t* buf, size_t page_size, uint32_t nseg) {
 PageFtl::PageFtl(flash::FlashDevice* device, const FtlConfig& config)
     : device_(device),
       config_(config),
-      ecc_(config.ecc, device->clock(), &stats_) {
+      ecc_(device->clock(), &stats_) {
   const auto& fc = device_->config();
   CHECK_GT(config_.num_logical_pages, 0u);
   CHECK_GE(config_.meta_blocks, 2u);
@@ -80,8 +80,6 @@ void PageFtl::InitLayout() {
   active_blocks_.assign(fc.num_banks, flash::kInvalidPpn);
   active_next_page_.assign(fc.num_banks, 0);
   bank_cursor_ = 0;
-  gc_buckets_.assign(fc.pages_per_block + 1, {});
-  gc_min_bucket_ = uint32_t(gc_buckets_.size());
   segment_dirty_.assign(num_segments(), false);
   segment_snapshot_ppn_.assign(num_segments(), flash::kInvalidPpn);
   last_root_seq_ = 0;
@@ -224,7 +222,6 @@ StatusOr<flash::Ppn> PageFtl::NextDataPpnNoGc() {
         active_next_page_[bank] >= fc.pages_per_block) {
       blocks_[active_blocks_[bank]].kind = BlockInfo::Kind::kSealed;
       blocks_[active_blocks_[bank]].sealed_seq = next_seq_;
-      GcBucketInsert(active_blocks_[bank]);
       active_blocks_[bank] = flash::kInvalidPpn;
     }
     if (active_blocks_[bank] == flash::kInvalidPpn) {
@@ -241,7 +238,6 @@ StatusOr<flash::Ppn> PageFtl::NextDataPpnNoGc() {
       BlockInfo& blk = blocks_[b];
       blk.kind = BlockInfo::Kind::kActive;
       blk.open_seq = next_seq_;
-      blk.valid.assign(fc.pages_per_block, false);
       blk.rmap.assign(fc.pages_per_block, flash::kInvalidLpn);
       blk.valid_count = 0;
       active_blocks_[bank] = b;
@@ -280,6 +276,12 @@ uint32_t PageFtl::UsableMetaBlocks() const {
   return usable;
 }
 
+// Graceful degradation floor: the FTL turns read-only when the usable
+// (non-bad) data blocks can no longer hold the logical space plus the GC
+// reserve plus this many spare blocks. Writes then fail with
+// ResourceExhausted instead of wedging GC or CHECK-crashing.
+constexpr uint32_t kReadOnlySpareBlocks = 1;
+
 void PageFtl::UpdateDegradation() {
   const auto& fc = device_->config();
   uint32_t bad_data = 0;
@@ -287,14 +289,14 @@ void PageFtl::UpdateDegradation() {
     if (b >= config_.meta_blocks) bad_data++;
   }
   // Data floor: the surviving blocks must hold the logical space plus the GC
-  // reserve plus the configured spare margin, or GC would grind forever on
-  // near-full victims and eventually wedge mid-write.
+  // reserve plus the spare margin, or GC would grind forever on near-full
+  // victims and eventually wedge mid-write.
   uint64_t usable_data_pages =
       uint64_t(fc.num_blocks - config_.meta_blocks - bad_data) *
       fc.pages_per_block;
   uint64_t floor =
       config_.num_logical_pages +
-      uint64_t(config_.min_free_blocks + config_.read_only_spare_blocks) *
+      uint64_t(config_.min_free_blocks + kReadOnlySpareBlocks) *
           fc.pages_per_block;
   if (usable_data_pages < floor) {
     EnterReadOnly(std::to_string(bad_data) +
@@ -308,9 +310,6 @@ void PageFtl::UpdateDegradation() {
 
 void PageFtl::MarkBlockBad(flash::BlockNum block) {
   BlockInfo& blk = blocks_[block];
-  if (blk.kind == BlockInfo::Kind::kSealed) {
-    GcBucketErase(block, blk.valid_count);
-  }
   free_blocks_.erase(
       std::remove(free_blocks_.begin(), free_blocks_.end(), block),
       free_blocks_.end());
@@ -318,7 +317,6 @@ void PageFtl::MarkBlockBad(flash::BlockNum block) {
     if (a == block) a = flash::kInvalidPpn;
   }
   blk.kind = BlockInfo::Kind::kBad;
-  blk.valid.clear();
   blk.rmap.clear();
   blk.valid_count = 0;
   if (std::find(bad_blocks_.begin(), bad_blocks_.end(), block) ==
@@ -340,11 +338,7 @@ Status PageFtl::ProgramWithRetirement(const uint8_t* data,
     stamped.block_seq = blocks_[fc.BlockOf(ppn)].open_seq;
     Status s = device_->ProgramPage(ppn, data, stamped);
     if (s.ok()) {
-      BlockInfo& blk = blocks_[fc.BlockOf(ppn)];
-      uint32_t page = fc.PageInBlock(ppn);
-      blk.valid[page] = true;
-      blk.valid_count++;
-      blk.rmap[page] = oob.lpn;
+      MarkPpnValid(ppn, oob.lpn);
       *out = ppn;
       return Status::OK();
     }
@@ -372,7 +366,7 @@ Status PageFtl::RetireBlock(flash::BlockNum block) {
   for (auto& a : active_blocks_) {
     if (a == block) a = flash::kInvalidPpn;
   }
-  Status result = blk.valid.empty()
+  Status result = blk.rmap.empty()
                       ? Status::OK()
                       : RelocateValidPages(block, /*retiring=*/true);
   retire_depth_--;
@@ -385,9 +379,9 @@ Status PageFtl::RelocateValidPages(flash::BlockNum block, bool retiring) {
   const BlockInfo& blk = blocks_[block];
   std::vector<uint8_t> buf(fc.page_size);
   for (uint32_t p = 0; p < fc.pages_per_block; ++p) {
-    if (!blk.valid[p]) continue;
+    const Lpn lpn = blk.rmap[p];
+    if (lpn == flash::kInvalidLpn) continue;
     flash::Ppn from = flash::Ppn(uint64_t(block) * fc.pages_per_block + p);
-    Lpn lpn = blk.rmap[p];
     const bool in_l2p = lpn < l2p_.size() && l2p_[lpn] == from;
     flash::PageOob old_oob;
     Status rs = ReadPhysPage(from, buf.data(), &old_oob);
@@ -449,49 +443,33 @@ flash::PageOob PageFtl::RelocationOob(Lpn lpn, flash::Ppn from,
 
 void PageFtl::InvalidatePpn(flash::Ppn ppn) {
   const auto& fc = device_->config();
-  flash::BlockNum block = fc.BlockOf(ppn);
-  BlockInfo& blk = blocks_[block];
-  uint32_t page = fc.PageInBlock(ppn);
-  if (!blk.valid.empty() && blk.valid[page]) {
-    blk.valid[page] = false;
-    DCHECK_GT(blk.valid_count, 0u);
-    if (blk.kind == BlockInfo::Kind::kSealed) {
-      GcBucketErase(block, blk.valid_count);
-      blk.valid_count--;
-      GcBucketInsert(block);
-    } else {
-      blk.valid_count--;
-    }
-  }
+  BlockInfo& blk = blocks_[fc.BlockOf(ppn)];
+  if (blk.rmap.empty()) return;
+  Lpn& held = blk.rmap[fc.PageInBlock(ppn)];
+  if (held == flash::kInvalidLpn) return;
+  held = flash::kInvalidLpn;
+  DCHECK_GT(blk.valid_count, 0u);
+  blk.valid_count--;
 }
 
 void PageFtl::MarkPpnValid(flash::Ppn ppn, Lpn lpn) {
+  // kInvalidLpn is what the validity map reads as "not valid".
+  DCHECK_NE(lpn, flash::kInvalidLpn);
   const auto& fc = device_->config();
-  flash::BlockNum block = fc.BlockOf(ppn);
-  BlockInfo& blk = blocks_[block];
-  uint32_t page = fc.PageInBlock(ppn);
-  if (blk.valid.empty()) {
-    blk.valid.assign(fc.pages_per_block, false);
+  BlockInfo& blk = blocks_[fc.BlockOf(ppn)];
+  if (blk.rmap.empty()) {
     blk.rmap.assign(fc.pages_per_block, flash::kInvalidLpn);
   }
-  if (!blk.valid[page]) {
-    blk.valid[page] = true;
-    if (blk.kind == BlockInfo::Kind::kSealed) {
-      GcBucketErase(block, blk.valid_count);
-      blk.valid_count++;
-      GcBucketInsert(block);
-    } else {
-      blk.valid_count++;
-    }
-  }
-  blk.rmap[page] = lpn;
+  Lpn& held = blk.rmap[fc.PageInBlock(ppn)];
+  if (held == flash::kInvalidLpn) blk.valid_count++;
+  held = lpn;
 }
 
 bool PageFtl::PpnHolds(flash::Ppn ppn, Lpn lpn) const {
+  DCHECK_NE(lpn, flash::kInvalidLpn);
   const auto& fc = device_->config();
   const BlockInfo& blk = blocks_[fc.BlockOf(ppn)];
-  uint32_t page = fc.PageInBlock(ppn);
-  return !blk.valid.empty() && blk.valid[page] && blk.rmap[page] == lpn;
+  return !blk.rmap.empty() && blk.rmap[fc.PageInBlock(ppn)] == lpn;
 }
 
 void PageFtl::SetMapping(Lpn lpn, flash::Ppn ppn) {
@@ -504,10 +482,6 @@ void PageFtl::ClearMapping(Lpn lpn) {
   DCHECK_LT(lpn, l2p_.size());
   l2p_[lpn] = flash::kInvalidPpn;
   segment_dirty_[SegmentOf(lpn)] = true;
-}
-
-bool PageFtl::IsPpnLive(flash::Ppn ppn, Lpn lpn) const {
-  return lpn < l2p_.size() && l2p_[lpn] == ppn;
 }
 
 void PageFtl::OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to) {}
@@ -546,91 +520,41 @@ const char* GcPolicyName(GcPolicy policy) {
   return "?";
 }
 
-uint64_t PageFtl::GcBucketKey(const BlockInfo& blk) const {
-  // Greedy orders purely by block number within a bucket (the legacy scan's
-  // tie-break); the age-aware policies order by seal time.
-  return config_.gc_policy == GcPolicy::kGreedy ? 0 : blk.sealed_seq;
-}
-
-void PageFtl::GcBucketInsert(flash::BlockNum b) {
-  const BlockInfo& blk = blocks_[b];
-  gc_buckets_[blk.valid_count].emplace(GcBucketKey(blk), b);
-  gc_min_bucket_ = std::min(gc_min_bucket_, blk.valid_count);
-}
-
-void PageFtl::GcBucketErase(flash::BlockNum b, uint32_t valid_count) {
-  gc_buckets_[valid_count].erase({GcBucketKey(blocks_[b]), b});
-}
-
-void PageFtl::RebuildGcBuckets() {
+StatusOr<flash::BlockNum> PageFtl::PickVictim() const {
   const auto& fc = device_->config();
-  for (auto& bucket : gc_buckets_) bucket.clear();
-  gc_min_bucket_ = uint32_t(gc_buckets_.size());
+  flash::BlockNum best = flash::kInvalidPpn;
+  double best_score = -1;
   for (flash::BlockNum b = config_.meta_blocks; b < fc.num_blocks; ++b) {
-    if (blocks_[b].kind == BlockInfo::Kind::kSealed) GcBucketInsert(b);
+    const BlockInfo& blk = blocks_[b];
+    if (blk.kind != BlockInfo::Kind::kSealed) continue;
+    if (blk.valid_count >= fc.pages_per_block) continue;  // nothing to gain
+    if (config_.gc_policy == GcPolicy::kFifo) {
+      // Oldest seal wins, by exact integer compare: a double score would
+      // round nearby seal times together.
+      if (best == flash::kInvalidPpn ||
+          blk.sealed_seq < blocks_[best].sealed_seq) {
+        best = b;
+      }
+      continue;
+    }
+    // Greedy scores the pages a collection frees.
+    double score = double(fc.pages_per_block - blk.valid_count);
+    if (config_.gc_policy == GcPolicy::kCostBenefit) {
+      // LFS: benefit/cost = age * (1 - u) / 2u; a fully invalid block is
+      // free to collect, so give it the maximal score.
+      double u = double(blk.valid_count) / double(fc.pages_per_block);
+      double age = double(next_seq_ - blk.sealed_seq);
+      score = u == 0 ? 1e18 : age * (1.0 - u) / (2.0 * u);
+    }
+    if (best == flash::kInvalidPpn || score > best_score) {
+      best_score = score;
+      best = b;
+    }
   }
-}
-
-StatusOr<flash::BlockNum> PageFtl::PickVictim() {
-  const auto& fc = device_->config();
-  // Sweep the hint past buckets that have drained. The hint only moves down
-  // when a block lands in a lower bucket, so across a run of collections
-  // this loop does amortized O(1) work per valid-count change.
-  while (gc_min_bucket_ < gc_buckets_.size() &&
-         gc_buckets_[gc_min_bucket_].empty()) {
-    gc_min_bucket_++;
-  }
-  // Fully valid blocks (bucket pages_per_block) offer nothing to reclaim.
-  if (gc_min_bucket_ >= fc.pages_per_block) {
+  if (best == flash::kInvalidPpn) {
     return Status::ResourceExhausted("garbage collection found no victim");
   }
-
-  switch (config_.gc_policy) {
-    case GcPolicy::kGreedy:
-      // Lowest non-empty bucket, lowest block number — identical to the
-      // legacy linear scan (ftl_test keeps it as the reference).
-      return gc_buckets_[gc_min_bucket_].begin()->second;
-
-    case GcPolicy::kFifo: {
-      // Oldest seal time across buckets; the per-bucket sets are ordered by
-      // (sealed_seq, block), so comparing their heads suffices.
-      std::pair<uint64_t, flash::BlockNum> best{~0ull, flash::kInvalidPpn};
-      for (uint32_t v = gc_min_bucket_; v < fc.pages_per_block; ++v) {
-        if (gc_buckets_[v].empty()) continue;
-        best = std::min(best, *gc_buckets_[v].begin());
-      }
-      return best.second;
-    }
-
-    case GcPolicy::kCostBenefit: {
-      // Every fully invalid block scores the maximal 1e18; the legacy scan
-      // broke that tie by block number, so preserve it here (the bucket is
-      // ordered by seal time and is almost always tiny).
-      if (!gc_buckets_[0].empty()) {
-        flash::BlockNum best = flash::kInvalidPpn;
-        for (const auto& [key, b] : gc_buckets_[0]) best = std::min(best, b);
-        return best;
-      }
-      // Within one bucket u is fixed, so the score is monotone in age and
-      // each bucket's head (oldest seal, lowest block) is its best
-      // candidate; only the O(pages_per_block) heads need scoring.
-      flash::BlockNum best = flash::kInvalidPpn;
-      double best_score = -1;
-      for (uint32_t v = gc_min_bucket_; v < fc.pages_per_block; ++v) {
-        if (gc_buckets_[v].empty()) continue;
-        const auto& [sealed_seq, b] = *gc_buckets_[v].begin();
-        double u = double(v) / double(fc.pages_per_block);
-        double age = double(next_seq_ - sealed_seq);
-        double score = age * (1.0 - u) / (2.0 * u);
-        if (best == flash::kInvalidPpn || score > best_score) {
-          best_score = score;
-          best = b;
-        }
-      }
-      return best;
-    }
-  }
-  return Status::FailedPrecondition("unreachable gc policy");
+  return best;
 }
 
 Status PageFtl::CollectOneBlock() {
@@ -654,9 +578,7 @@ Status PageFtl::CollectOneBlock() {
     return Status::OK();
   }
   stats_.block_erases++;
-  GcBucketErase(victim, blk.valid_count);
   blk.kind = BlockInfo::Kind::kFree;
-  blk.valid.clear();
   blk.rmap.clear();
   blk.valid_count = 0;
   free_blocks_.push_back(victim);
@@ -667,6 +589,17 @@ Status PageFtl::CollectOneBlock() {
 // ---------------------------------------------------------------------------
 // Meta region (mapping persistence)
 // ---------------------------------------------------------------------------
+
+std::vector<flash::BlockNum> PageFtl::ErasedMetaBlocks() const {
+  std::vector<flash::BlockNum> erased;
+  for (flash::BlockNum b = 0; b < config_.meta_blocks; ++b) {
+    if (b != meta_active_ && blocks_[b].kind != BlockInfo::Kind::kBad &&
+        device_->NextProgramPage(b) == 0) {
+      erased.push_back(b);
+    }
+  }
+  return erased;
+}
 
 StatusOr<flash::Ppn> PageFtl::NextMetaPpn() {
   const auto& fc = device_->config();
@@ -681,13 +614,7 @@ StatusOr<flash::Ppn> PageFtl::NextMetaPpn() {
   if (meta_next_page_ >= fc.pages_per_block) {
     // Current block is full: move to an erased meta block, compacting when
     // only the reserve block remains.
-    std::vector<flash::BlockNum> erased;
-    for (flash::BlockNum b = 0; b < config_.meta_blocks; ++b) {
-      if (b != meta_active_ && blocks_[b].kind != BlockInfo::Kind::kBad &&
-          device_->NextProgramPage(b) == 0) {
-        erased.push_back(b);
-      }
-    }
+    const std::vector<flash::BlockNum> erased = ErasedMetaBlocks();
     if (erased.empty()) {
       // Name the cursor and every meta block's write pointer: enough to
       // tell which blocks filled up without ever being recycled.
@@ -748,18 +675,11 @@ Status PageFtl::CompactMetaRegion() {
   // simply rewrites everything into the reserve block and erases the rest.
   // Crash safety: the new root is written before any erase, and roots are
   // ordered by sequence number.
-  flash::BlockNum target = flash::kInvalidPpn;
-  for (flash::BlockNum b = 0; b < config_.meta_blocks; ++b) {
-    if (b != meta_active_ && blocks_[b].kind != BlockInfo::Kind::kBad &&
-        device_->NextProgramPage(b) == 0) {
-      target = b;
-      break;
-    }
-  }
-  if (target == flash::kInvalidPpn) {
+  const std::vector<flash::BlockNum> erased = ErasedMetaBlocks();
+  if (erased.empty()) {
     return Status::ResourceExhausted("meta compaction has no target");
   }
-  meta_active_ = target;
+  meta_active_ = erased.front();
   meta_next_page_ = 0;
   std::fill(segment_dirty_.begin(), segment_dirty_.end(), true);
   XFTL_RETURN_IF_ERROR(PersistMapping());
@@ -970,15 +890,7 @@ Status PageFtl::Recover() {
   // (mid-compaction, or with only partially-written blocks). RAM is now
   // authoritative, so recycle the region: erase everything and write a
   // fresh checkpoint.
-  bool has_erased_reserve = false;
-  for (flash::BlockNum b = 0; b < config_.meta_blocks; ++b) {
-    if (b != meta_active_ && blocks_[b].kind != BlockInfo::Kind::kBad &&
-        device_->NextProgramPage(b) == 0) {
-      has_erased_reserve = true;
-      break;
-    }
-  }
-  if (!has_erased_reserve) {
+  if (ErasedMetaBlocks().empty()) {
     flash::BlockNum first_good = flash::kInvalidPpn;
     for (flash::BlockNum b = 0; b < config_.meta_blocks; ++b) {
       if (blocks_[b].kind == BlockInfo::Kind::kBad) continue;
@@ -1224,13 +1136,12 @@ Status PageFtl::RollForwardDataBlocks() {
 
 void PageFtl::RebuildBlockState(const std::vector<uint64_t>& stamps) {
   const auto& fc = device_->config();
-  // First pass: reverse maps of the sensed pages, block classification, and
-  // the partial blocks worth resuming. Resuming is safe only if the next
-  // boot is sure to scan whatever lands there, even if no new root is
-  // written first: the block is stamped after the loaded root, or the root
-  // lists it as active and the crash did not cut it back below the page the
-  // root recorded (TailStart <= np covers both). A newer root lists it as
-  // active in turn.
+  // First pass: block classification and the partial blocks worth
+  // resuming. Resuming is safe only if the next boot is sure to scan
+  // whatever lands there, even if no new root is written first: the block
+  // is stamped after the loaded root, or the root lists it as active and the
+  // crash did not cut it back below the page the root recorded (TailStart <=
+  // np covers both). A newer root lists it as active in turn.
   free_blocks_.clear();
   std::vector<flash::BlockNum> resumable;
   for (flash::BlockNum b = config_.meta_blocks; b < fc.num_blocks; ++b) {
@@ -1238,7 +1149,6 @@ void PageFtl::RebuildBlockState(const std::vector<uint64_t>& stamps) {
     uint32_t np = device_->NextProgramPage(b);
     if (np == 0) {
       blk.kind = BlockInfo::Kind::kFree;
-      blk.valid.clear();
       blk.rmap.clear();
       blk.valid_count = 0;
       free_blocks_.push_back(b);
@@ -1247,14 +1157,8 @@ void PageFtl::RebuildBlockState(const std::vector<uint64_t>& stamps) {
     blk.kind = BlockInfo::Kind::kSealed;
     blk.sealed_seq = next_seq_;
     blk.open_seq = stamps[b];
-    blk.valid.assign(fc.pages_per_block, false);
     blk.rmap.assign(fc.pages_per_block, flash::kInvalidLpn);
     blk.valid_count = 0;
-    for (uint32_t p = 0; p < np; ++p) {
-      const flash::PageOob* oob =
-          ScannedOob(flash::Ppn(uint64_t(b) * fc.pages_per_block + p));
-      if (oob != nullptr) blk.rmap[p] = oob->lpn;
-    }
     if (np < fc.pages_per_block && TailStart(b, stamps[b]) <= np &&
         !device_->IsBadBlock(b) &&
         std::find(bad_blocks_.begin(), bad_blocks_.end(), b) ==
@@ -1291,13 +1195,7 @@ void PageFtl::RebuildBlockState(const std::vector<uint64_t>& stamps) {
       stats_.recovery_stale_mappings++;
       continue;
     }
-    BlockInfo& blk = blocks_[fc.BlockOf(ppn)];
-    uint32_t page = fc.PageInBlock(ppn);
-    blk.rmap[page] = lpn;
-    if (!blk.valid[page]) {
-      blk.valid[page] = true;
-      blk.valid_count++;
-    }
+    MarkPpnValid(ppn, lpn);
   }
   // The newest resumable blocks fill the active slots, each on its own
   // bank's slot when that is free, else on any free slot (as the allocator
@@ -1327,10 +1225,6 @@ void PageFtl::RebuildBlockState(const std::vector<uint64_t>& stamps) {
                                  flash::kInvalidPpn) -
                        active_blocks_.begin()));
   }
-  // Validity counts are final for everything the checkpoint knew about;
-  // subclass recovery (MarkPpnValid for transactional pages) keeps the
-  // buckets current incrementally from here.
-  RebuildGcBuckets();
 }
 
 }  // namespace xftl::ftl

@@ -20,7 +20,6 @@
 #define XFTL_FTL_PAGE_FTL_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -113,13 +112,6 @@ struct FtlConfig {
   // profile runs kPlp; barrier mode is the Won-et-al. protocol that works
   // without the capacitor.
   CommitMode commit_mode = CommitMode::kDrain;
-  // ECC strength and read-retry policy for every flash read the FTL issues.
-  EccConfig ecc;
-  // Graceful degradation floor: the FTL turns read-only when the usable
-  // (non-bad) data blocks can no longer hold the logical space plus the GC
-  // reserve plus this many spare blocks. Writes then fail with
-  // ResourceExhausted instead of wedging GC or CHECK-crashing.
-  uint32_t read_only_spare_blocks = 1;
 };
 
 // The FTL as the storage interface (SATA) layer sees it: a logical page
@@ -191,16 +183,15 @@ class PageFtl {
   uint32_t BlockValidCount(flash::BlockNum block) const {
     return blocks_[block].valid_count;
   }
-
-  // Victim the bucketed picker would choose right now (tests/observability;
-  // only the min-bucket hint may move).
-  StatusOr<flash::BlockNum> PeekVictim() { return PickVictim(); }
+  // The sealed block garbage collection takes next, by one scan of the block
+  // table: greedy picks the fewest valid pages, cost-benefit the highest
+  // age * (1-u) / 2u with any fully invalid block first, FIFO the oldest
+  // seal; ties go to the lowest block number. ResourceExhausted when every
+  // sealed block is fully valid.
+  StatusOr<flash::BlockNum> PickVictim() const;
 
  protected:
   // --- hooks overridden by X-FTL ------------------------------------------
-  // True if physical page `ppn` (holding logical page `lpn`) must be kept
-  // alive. The base implementation consults the L2P table.
-  virtual bool IsPpnLive(flash::Ppn ppn, Lpn lpn) const;
   // Called when GC moves a live page so subclasses can re-point their own
   // references.
   virtual void OnPageRelocated(Lpn lpn, flash::Ppn from, flash::Ppn to);
@@ -254,7 +245,7 @@ class PageFtl {
   // Fails with ResourceExhausted once the FTL has degraded to read-only.
   Status CheckWritable() const;
   // Allocates and programs the next data page; returns its ppn. Runs GC if
-  // the free pool is low. The new page's valid bit is set and rmap updated;
+  // the free pool is low. The new page is marked valid, holding `lpn`; the
   // L2P is NOT touched (callers decide, so X-FTL can defer to commit).
   StatusOr<flash::Ppn> ProgramDataPage(Lpn lpn, const uint8_t* data,
                                        uint64_t tag = kTagData);
@@ -269,9 +260,9 @@ class PageFtl {
     next_seq_ += n;
     return first;
   }
-  // Clears the valid bit of `ppn` so GC can reclaim it.
+  // Marks `ppn` invalid so GC can reclaim it.
   void InvalidatePpn(flash::Ppn ppn);
-  // True if `ppn`'s valid bit is set and the RAM rmap says it holds `lpn`.
+  // True if `ppn` is valid and the RAM rmap says it holds `lpn`.
   // Lets subclasses verify a long-held physical reference before acting on
   // it (GC may have lost the page to an uncorrectable read and reused it).
   bool PpnHolds(flash::Ppn ppn, Lpn lpn) const;
@@ -323,36 +314,17 @@ class PageFtl {
     uint32_t valid_count = 0;
     uint64_t sealed_seq = 0;  // write sequence when sealed (GC age)
     uint64_t open_seq = 0;    // write sequence when opened (the OOB stamp)
-    std::vector<bool> valid;
-    std::vector<Lpn> rmap;  // lpn per page (RAM mirror of OOB)
+    // The validity map: the lpn of each valid page, kInvalidLpn for every
+    // other page. Empty for meta, free and bad blocks.
+    std::vector<Lpn> rmap;
   };
 
   uint32_t SegmentOf(Lpn lpn) const { return uint32_t(lpn / entries_per_segment_); }
-
-  // tests/ftl_test.cc: the linear-scan victim reference reads blocks_.
-  friend class PageFtlTestPeer;
 
   void InitLayout();
   // Ensures the free pool holds > min_free_blocks erased blocks.
   Status MaybeGarbageCollect();
   Status CollectOneBlock();
-  StatusOr<flash::BlockNum> PickVictim();
-
-  // --- O(1) amortized victim selection ------------------------------------
-  // Sealed blocks live in validity buckets: gc_buckets_[v] holds every
-  // sealed block with v valid pages, ordered by (key, block) where key is 0
-  // under greedy (pure block-number order, matching the legacy scan's
-  // tie-break exactly) and sealed_seq otherwise (age order for cost-benefit
-  // and FIFO). The buckets are updated incrementally wherever a sealed
-  // block's valid_count or kind changes, so PickVictim no longer scans all
-  // of blocks_ per collection.
-  uint64_t GcBucketKey(const BlockInfo& blk) const;
-  void GcBucketInsert(flash::BlockNum b);
-  // Removes `b` from the bucket holding it at `valid_count` (no-op if the
-  // block is not bucketed, which recovery paths rely on).
-  void GcBucketErase(flash::BlockNum b, uint32_t valid_count);
-  // Drops and re-inserts every sealed block (recovery rebuild).
-  void RebuildGcBuckets();
   // Allocates the next programmable data ppn without triggering GC.
   StatusOr<flash::Ppn> NextDataPpnNoGc();
   Status ProgramDataPageNoGc(Lpn lpn, const uint8_t* data, uint64_t tag,
@@ -361,7 +333,7 @@ class PageFtl {
   // --- NAND failure handling ----------------------------------------------
   // Programs `oob.lpn`'s data onto the next data page, retiring blocks whose
   // programs fail with a status error and re-issuing until one sticks (or
-  // power fails / spares run out). Updates validity + rmap on success.
+  // power fails / spares run out). Marks the page valid on success.
   Status ProgramWithRetirement(const uint8_t* data, const flash::PageOob& oob,
                                flash::Ppn* out);
   // OOB for the relocated copy of `lpn`'s page at `from`, whose OOB is `old`
@@ -376,8 +348,9 @@ class PageFtl {
   // `block` through ECC (an uncorrectable one counts in pages_lost and is
   // unmapped), programs it with RelocationOob via ProgramWithRetirement,
   // re-points the L2P and calls OnPageRelocated. A GC move counts
-  // gc_copyback_reads/writes and leaves the valid bits for the erase; a
-  // `retiring` move counts retire_relocations and invalidates the source.
+  // gc_copyback_reads/writes and leaves the victim's pages valid for the
+  // erase; a `retiring` move counts retire_relocations and invalidates the
+  // source.
   Status RelocateValidPages(flash::BlockNum block, bool retiring);
   // Bookkeeping shared by every retirement path: flips the BlockInfo to
   // kBad, records it in the persisted bad-block list, and re-evaluates the
@@ -391,6 +364,9 @@ class PageFtl {
   uint32_t UsableMetaBlocks() const;
 
   // Meta-region management.
+  // Good meta blocks, other than the active one, with no page programmed,
+  // in block order: where the ring moves next and compaction writes to.
+  std::vector<flash::BlockNum> ErasedMetaBlocks() const;
   StatusOr<flash::Ppn> NextMetaPpn();
   Status CompactMetaRegion();
   Status WriteRootRecord();
@@ -414,21 +390,15 @@ class PageFtl {
   // active block, pages_per_block (all trusted) otherwise.
   uint32_t TailStart(flash::BlockNum b, uint64_t stamp) const;
   Status RollForwardDataBlocks();
-  // Classifies data blocks and rebuilds validity and reverse maps: sensed
-  // pages from their OOB, trusted ones from the L2P. `stamps` holds each
-  // block's page-0 block stamp. Resumes the newest partial blocks whose
-  // future pages the next boot is sure to scan, one per active slot.
+  // Classifies data blocks and rebuilds their validity maps from the L2P.
+  // `stamps` holds each block's page-0 block stamp. Resumes the newest
+  // partial blocks whose future pages the next boot is sure to scan, one per
+  // active slot.
   void RebuildBlockState(const std::vector<uint64_t>& stamps);
 
   std::vector<flash::Ppn> l2p_;
   std::vector<BlockInfo> blocks_;
   std::vector<flash::BlockNum> free_blocks_;
-  // Validity buckets over sealed blocks (see GcBucketInsert above) plus a
-  // monotone hint at the lowest possibly-non-empty bucket. The hint only
-  // moves down on insert and sweeps up past drained buckets inside
-  // PickVictim, which is what makes selection O(1) amortized.
-  std::vector<std::set<std::pair<uint64_t, flash::BlockNum>>> gc_buckets_;
-  uint32_t gc_min_bucket_ = 0;
   // One active block per bank, kInvalid when none; round-robin cursor.
   std::vector<flash::BlockNum> active_blocks_;
   std::vector<uint32_t> active_next_page_;

@@ -9,21 +9,15 @@ StripedVolume::StripedVolume(const VolumeConfig& config, SimClock* clock)
   CHECK(clock != nullptr);
   CHECK_GE(config.num_devices, 1u);
   CHECK_GE(config.stripe_pages, 1u);
-  if (!config.member_specs.empty()) {
-    CHECK_EQ(config.member_specs.size(), size_t(config.num_devices))
-        << "member_specs must cover every member";
-  }
   members_.reserve(config.num_devices);
   for (uint32_t i = 0; i < config.num_devices; ++i) {
-    const storage::SsdSpec& spec =
-        config.member_specs.empty() ? config.spec : config.member_specs[i];
-    members_.push_back(std::make_unique<storage::SimSsd>(spec, clock));
+    members_.push_back(std::make_unique<storage::SimSsd>(config.spec, clock));
   }
   powered_.assign(config.num_devices, true);
   // The commit disciplines below (FlushBarrier's completion-wait rule,
   // TxCommit's barrier-mode compensation) read member 0's firmware mode and
-  // apply it array-wide; a mixed-firmware array would silently get the
-  // wrong discipline on some members, so homogeneity is enforced here.
+  // apply it array-wide. Every member is built from one spec, so they share
+  // one commit mode by construction; the check guards that invariant.
   for (uint32_t i = 1; i < config.num_devices; ++i) {
     CHECK(members_[i]->device()->commit_mode() ==
           members_[0]->device()->commit_mode())
@@ -606,16 +600,14 @@ Status StripedVolume::PowerCycle() {
 }
 
 Status StripedVolume::SaveMemberImages(const std::string& prefix) {
+  check::ImageParams p;
+  p.meta_blocks = config_.spec.ftl.meta_blocks;
+  p.num_logical_pages = config_.spec.ftl.num_logical_pages;
+  p.transactional = config_.spec.transactional;
+  p.num_devices = uint32_t(members_.size());
+  p.stripe_pages = config_.stripe_pages;
   for (uint32_t i = 0; i < members_.size(); ++i) {
-    const storage::SsdSpec& spec =
-        config_.member_specs.empty() ? config_.spec : config_.member_specs[i];
-    check::ImageParams p;
-    p.meta_blocks = spec.ftl.meta_blocks;
-    p.num_logical_pages = spec.ftl.num_logical_pages;
-    p.transactional = spec.transactional;
-    p.num_devices = uint32_t(members_.size());
     p.device_index = i;
-    p.stripe_pages = config_.stripe_pages;
     XFTL_RETURN_IF_ERROR(check::SaveImage(
         *members_[i]->flash(), p, prefix + "." + std::to_string(i) + ".img"));
   }

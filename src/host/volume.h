@@ -67,12 +67,8 @@ struct VolumeConfig {
   // Pages per stripe unit. Small units spread one database across members
   // (bank-style parallelism); large units approximate per-file placement.
   uint32_t stripe_pages = 64;
-  // Per-member device profile; every member is built from the same spec…
+  // Device profile; every member is built from this one spec.
   storage::SsdSpec spec;
-  // …unless this is non-empty, in which case it must hold num_devices
-  // entries and member i is built from member_specs[i] — per-member NAND
-  // and link fault models (one flaky member in an otherwise clean array).
-  std::vector<storage::SsdSpec> member_specs;
   // Cross-device two-phase commit for multi-participant transactions.
   // false = unsafe serial fan-out, kept as the ablation baseline.
   bool two_phase_commit = true;

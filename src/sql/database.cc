@@ -2,6 +2,10 @@
 
 namespace xftl::sql {
 
+// Host CPU-time model: row-visit cost during execution, charged beside
+// DbOptions::cpu_per_statement.
+constexpr SimNanos kCpuPerRow = Micros(2);
+
 StatusOr<std::unique_ptr<Database>> Database::Open(fs::ExtFs* fs,
                                                    const std::string& path,
                                                    const DbOptions& options) {
@@ -103,7 +107,7 @@ StatusOr<ResultSet> Database::ExecOne(const Statement& stmt) {
   auto result = ExecuteStatement(pager_.get(), &schema_->value, stmt);
   // Host CPU time for parse/plan/row processing.
   SimNanos cpu = options_.cpu_per_statement;
-  if (result.ok()) cpu += result.value().rows_scanned * options_.cpu_per_row;
+  if (result.ok()) cpu += result.value().rows_scanned * kCpuPerRow;
   pager_->fs()->clock()->Advance(cpu);
   if (autocommit) {
     if (result.ok()) {

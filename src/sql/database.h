@@ -23,12 +23,11 @@ struct DbOptions {
   // Read-only connection onto another connection's live database file (see
   // PagerOptions::read_only): only BEGIN READONLY transactions run.
   bool read_only = false;
-  // Host CPU-time model: parsing/planning cost per statement and row-visit
-  // cost during execution, charged to the simulation clock. Calibrated so
-  // cache-resident read workloads land near SQLite's throughput on the
-  // paper's host (Intel i7-860).
+  // Host CPU-time model: parsing/planning cost per statement, charged to the
+  // simulation clock with kCpuPerRow (database.cc) per row visited.
+  // Calibrated so cache-resident read workloads land near SQLite's
+  // throughput on the paper's host (Intel i7-860).
   SimNanos cpu_per_statement = Micros(45);
-  SimNanos cpu_per_row = Micros(2);
 };
 
 class Database {

@@ -779,6 +779,7 @@ Status Pager::AppendWalFrame(Pgno pgno, const uint8_t* data,
 }
 
 Status Pager::RecoverWal() {
+  ResetWal();
   XFTL_ASSIGN_OR_RETURN(bool exists, fs_->Exists(WalPath()));
   if (!exists) {
     XFTL_ASSIGN_OR_RETURN(wal_fd_, fs_->Create(WalPath()));
@@ -786,52 +787,17 @@ Status Pager::RecoverWal() {
     EncodeFixed32(hdr.data(), kWalMagic);
     EncodeFixed32(hdr.data() + 4, page_size_);
     XFTL_RETURN_IF_ERROR(fs_->Write(wal_fd_, 0, hdr.data(), hdr.size()));
-    wal_append_off_ = kWalFileHeader;
-    wal_prev_crc_ = 0;
-    wal_committed_end_ = wal_append_off_;
     return Status::OK();
   }
   XFTL_ASSIGN_OR_RETURN(wal_fd_, fs_->Open(WalPath()));
   std::vector<uint8_t> hdr(kWalFileHeader);
   XFTL_ASSIGN_OR_RETURN(size_t n,
                         fs_->Read(wal_fd_, 0, hdr.size(), hdr.data()));
-  wal_append_off_ = kWalFileHeader;
-  wal_prev_crc_ = 0;
-  wal_committed_end_ = wal_append_off_;
   if (n < hdr.size() || DecodeFixed32(hdr.data()) != kWalMagic ||
       DecodeFixed32(hdr.data() + 4) != page_size_) {
     return Status::OK();  // empty or foreign WAL; treat as fresh
   }
-
-  // Scan frames, validating the checksum chain; frames after the last
-  // commit frame belong to an uncommitted transaction and are dropped.
-  XFTL_ASSIGN_OR_RETURN(uint64_t size, fs_->FileSize(wal_fd_));
-  std::vector<uint8_t> frame(kWalFrameHeader + page_size_);
-  uint64_t off = kWalFileHeader;
-  uint32_t crc = 0;
-  std::unordered_map<Pgno, uint64_t> pending;
-  while (off + frame.size() <= size) {
-    XFTL_ASSIGN_OR_RETURN(size_t got,
-                          fs_->Read(wal_fd_, off, frame.size(), frame.data()));
-    if (got != frame.size()) break;
-    Pgno pgno = DecodeFixed32(frame.data());
-    uint32_t commit_size = DecodeFixed32(frame.data() + 4);
-    uint32_t want = DecodeFixed32(frame.data() + 8);
-    uint32_t c = Crc32c(frame.data(), 8, crc);
-    c = Crc32c(frame.data() + kWalFrameHeader, page_size_, c);
-    if (c != want) break;  // torn or stale frame
-    crc = c;
-    pending[pgno] = off;
-    off += frame.size();
-    if (commit_size != 0) {
-      for (const auto& [p, o] : pending) wal_committed_[p] = o;
-      pending.clear();
-      wal_append_off_ = off;
-      wal_prev_crc_ = crc;
-      wal_committed_end_ = off;
-      wal_committed_crc_ = crc;
-    }
-  }
+  XFTL_RETURN_IF_ERROR(ScanWalFrames());
 
   // The paper measures WAL restart as copying committed pages back into the
   // database; do that, then reset the log.
@@ -848,15 +814,22 @@ Status Pager::RescanWal() {
     if (!exists) return Status::OK();
     XFTL_ASSIGN_OR_RETURN(wal_fd_, fs_->Open(WalPath()));
   }
-  // Same frame walk as RecoverWal, against the file's CURRENT content:
-  // another connection may have appended commits (or checkpointed and
-  // truncated) since this connection last looked. No checkpoint here — a
-  // reader must not write.
+  // The file's CURRENT content: another connection may have appended
+  // commits (or checkpointed and truncated) since this connection last
+  // looked. No checkpoint here — a reader must not write.
+  ResetWal();
+  return ScanWalFrames();
+}
+
+void Pager::ResetWal() {
   wal_committed_.clear();
   wal_append_off_ = kWalFileHeader;
   wal_prev_crc_ = 0;
   wal_committed_end_ = wal_append_off_;
   wal_committed_crc_ = 0;
+}
+
+Status Pager::ScanWalFrames() {
   XFTL_ASSIGN_OR_RETURN(uint64_t size, fs_->FileSize(wal_fd_));
   std::vector<uint8_t> frame(kWalFrameHeader + page_size_);
   uint64_t off = kWalFileHeader;
@@ -904,11 +877,7 @@ Status Pager::CheckpointWal() {
   // Rewind the log.
   XFTL_RETURN_IF_ERROR(fs_->Truncate(wal_fd_, kWalFileHeader));
   XFTL_RETURN_IF_ERROR(SyncFd(wal_fd_, /*datasync=*/false));
-  wal_committed_.clear();
-  wal_append_off_ = kWalFileHeader;
-  wal_prev_crc_ = 0;
-  wal_committed_end_ = wal_append_off_;
-  wal_committed_crc_ = 0;
+  ResetWal();
   wal_frames_since_checkpoint_ = 0;
   stats_.checkpoints++;
   TraceSql(trace::Op::kCheckpoint, t0, frames.size(), StatusCode::kOk);

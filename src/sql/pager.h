@@ -240,6 +240,14 @@ class Pager {
   // Rebuilds the committed-frame index from the WAL file's current content
   // (a reader picking up another connection's commits). No checkpoint.
   Status RescanWal();
+  // Empties the committed-frame index and points the cursor at the first
+  // frame of an empty log.
+  void ResetWal();
+  // The one frame walk, from a reset index: follows the checksum chain from
+  // the first frame and indexes every frame up to the last commit frame,
+  // leaving the cursor after it. Frames past it (torn, stale, in flight or
+  // of an uncommitted transaction) are ignored.
+  Status ScanWalFrames();
 
   // --- read-only transactions ----------------------------------------------
   Status EndReadOnly();

@@ -8,6 +8,11 @@ namespace xftl::storage {
 
 namespace {
 
+// Exponential backoff between link retries: kBackoffBase << attempt.
+constexpr SimNanos kBackoffBase = Micros(50);
+// A queued command with no completion after this long is timed out.
+constexpr SimNanos kCommandDeadline = Millis(5);
+
 // One-shot scripted fault lists hold absolute operation numbers; a match
 // consumes the entry so each script fires exactly once.
 bool Fires(std::vector<uint64_t>* scripted, uint64_t op) {
@@ -98,7 +103,7 @@ SimNanos SataDevice::EventTime(const InflightCmd& cmd) const {
   // A timed-out tag has no completion FIS: the host only sees its deadline
   // expire. Aborts surface when the device would have finished the command.
   if (cmd.fate == TagFate::kTimeout) {
-    return cmd.submitted + policy_.command_deadline;
+    return cmd.submitted + kCommandDeadline;
   }
   return cmd.done;
 }
@@ -346,7 +351,7 @@ Status SataDevice::SubmitPayload(TxId t, const uint64_t* pages,
       if (accepted != nullptr) *accepted = acc;
       return Status::IoError("SATA link: CRC retries exhausted");
     }
-    SimNanos backoff = policy_.backoff_base << attempt;
+    SimNanos backoff = kBackoffBase << attempt;
     clock_->Advance(backoff);
     stats_.backoff_nanos += backoff;
     stats_.link_retries++;
@@ -486,7 +491,7 @@ Status SataDevice::LinkRead(TxId t, uint64_t page, const DeviceRead& read) {
       Note(trace::Op::kLinkFault, f0, t, page, StatusCode::kIoError, kCrc);
       return Status::IoError("SATA link: read CRC retries exhausted");
     }
-    SimNanos backoff = policy_.backoff_base << attempt;
+    SimNanos backoff = kBackoffBase << attempt;
     clock_->Advance(backoff);
     stats_.backoff_nanos += backoff;
     stats_.link_retries++;

@@ -94,14 +94,11 @@ struct LinkFaultModel {
 };
 
 // Host-side recovery policy: how hard the host fights before escalating a
-// rung on the degradation ladder.
+// rung on the degradation ladder. The retry backoff and the queued-command
+// deadline are fixed (SataDevice's kBackoffBase and kCommandDeadline).
 struct LinkRecoveryPolicy {
   // Inline re-transfers per command before the submit fails.
   uint32_t max_retries = 4;
-  // Exponential backoff between retries: base << attempt.
-  SimNanos backoff_base = Micros(50);
-  // A queued command with no completion after this long is timed out.
-  SimNanos command_deadline = Millis(5);
   // Consecutive link resets before dropping to qd=1 synchronous mode.
   uint32_t degrade_after_resets = 3;
   // Consecutive resets before the link is declared dead (writes rejected).

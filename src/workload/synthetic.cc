@@ -6,6 +6,9 @@
 
 namespace xftl::workload {
 
+// Paper: partsupp tuples of 220 bytes (dbgen).
+constexpr uint32_t kTupleBytes = 220;
+
 Status LoadPartsupp(sql::Database* db, const SyntheticConfig& config) {
   XFTL_RETURN_IF_ERROR(
       db->Exec("CREATE TABLE partsupp ("
@@ -15,8 +18,8 @@ Status LoadPartsupp(sql::Database* db, const SyntheticConfig& config) {
           .status());
 
   Rng rng(config.seed);
-  // Pad the row to ~tuple_bytes with the comment column (dbgen style).
-  uint32_t pad = config.tuple_bytes > 60 ? config.tuple_bytes - 60 : 8;
+  // Pad the row to ~kTupleBytes with the comment column (dbgen style).
+  constexpr uint32_t pad = kTupleBytes - 60;
 
   XFTL_RETURN_IF_ERROR(db->Begin());
   const uint32_t batch = 64;

@@ -15,7 +15,6 @@ struct SyntheticConfig {
   // Paper: 60,000 tuples of 220 bytes (dbgen partsupp). Scale down for unit
   // tests.
   uint32_t num_tuples = 60000;
-  uint32_t tuple_bytes = 220;
   uint32_t transactions = 1000;
   uint32_t updates_per_transaction = 5;
   uint64_t seed = 1;

@@ -116,7 +116,7 @@ void XFtl::FreeSlot(int idx) {
     auto oit = by_old_ppn_.find(s.old_ppn);
     if (oit != by_old_ppn_.end() && oit->second == idx) by_old_ppn_.erase(oit);
     // The retained pre-image finally becomes garbage. Guard on the validity
-    // bitmap: if GC lost the page to an uncorrectable read, its ppn may have
+    // map: if GC lost the page to an uncorrectable read, its ppn may have
     // been erased and reprogrammed for someone else by now.
     if (PpnHolds(s.old_ppn, s.lpn)) InvalidatePpn(s.old_ppn);
   }
@@ -837,7 +837,8 @@ Status XFtl::FinishRecovery() {
     }
     if (e.status != SlotStatus::kCommitted) {
       // ACTIVE at crash time: the transaction never committed; its pages are
-      // already unreferenced in the rebuilt bitmaps. This IS the rollback.
+      // already unreferenced in the rebuilt validity maps. This IS the
+      // rollback.
       xstats_.recovered_discarded++;
       stats_.recovery_discarded_txn_pages++;
       continue;

@@ -18,7 +18,7 @@
 //                  versions. Nothing needs to be written.
 //
 // Garbage collection keeps every page referenced by either table alive
-// (PageFtl's validity bitmaps already reflect that because TxWrite marks new
+// (PageFtl's validity maps already reflect that because TxWrite marks new
 // pages valid without invalidating old ones) and re-points X-L2P entries when
 // it relocates their pages.
 //

@@ -54,9 +54,9 @@ TEST_F(FlashDeviceTest, ReadingErasedPageReturnsFf) {
 }
 
 TEST_F(FlashDeviceTest, ReadOobOfErasedPageIsEmpty) {
-  auto r = dev_.ReadOob(3);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.value().has_value());
+  std::vector<std::optional<PageOob>> out;
+  ASSERT_TRUE(dev_.ReadOobBatch({3}, &out).ok());
+  EXPECT_FALSE(out[0].has_value());
 }
 
 TEST_F(FlashDeviceTest, OverwriteWithoutEraseRejected) {
@@ -97,7 +97,9 @@ TEST_F(FlashDeviceTest, ErasedPageReadsFfAndReprograms) {
   EXPECT_EQ(dev_.PageStateOf(0), FlashDevice::PageState::kErased);
   EXPECT_EQ(dev_.PeekPageData(0), nullptr);
   EXPECT_FALSE(dev_.PeekOob(0).has_value());
-  EXPECT_FALSE(dev_.ReadOob(0).value().has_value());
+  std::vector<std::optional<PageOob>> oobs;
+  ASSERT_TRUE(dev_.ReadOobBatch({0}, &oobs).ok());
+  EXPECT_FALSE(oobs[0].has_value());
   std::vector<uint8_t> out(dev_.config().page_size, 0);
   PageOob oob{.lpn = 99};
   ASSERT_TRUE(dev_.ReadPage(0, out.data(), &oob).ok());
@@ -433,11 +435,11 @@ TEST_F(FlashDeviceTest, ContentsSurviveReboot) {
   (void)dev_.ProgramPage(1, data.data(), {});
   dev_.ClearFailure();
 
-  auto r = dev_.ReadOob(0);
-  ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(r.value().has_value());
-  EXPECT_EQ(r.value()->lpn, 42u);
-  EXPECT_EQ(r.value()->seq, 17u);
+  std::vector<std::optional<PageOob>> out;
+  ASSERT_TRUE(dev_.ReadOobBatch({0}, &out).ok());
+  ASSERT_TRUE(out[0].has_value());
+  EXPECT_EQ(out[0]->lpn, 42u);
+  EXPECT_EQ(out[0]->seq, 17u);
 }
 
 // --- batched OOB reads (the recovery scan) ----------------------------------
@@ -478,6 +480,7 @@ TEST_F(FlashDeviceTest, OobBatchOnOneBankSerializes) {
   EXPECT_FALSE(out[4].has_value());
 }
 
+// A one-page batch is how a single OOB is read: one sense, no data transfer.
 TEST_F(FlashDeviceTest, OobBatchOfOneIsReadOob) {
   const SimNanos tR = dev_.config().timings.read_page;
   auto data = Pattern(0x5C);
@@ -485,14 +488,14 @@ TEST_F(FlashDeviceTest, OobBatchOfOneIsReadOob) {
   ASSERT_TRUE(dev_.ProgramPage(0, data.data(), {.lpn = 9}).ok());
   dev_.SyncAll();
   SimNanos t0 = clock_.Now();
-  auto r = dev_.ReadOob(0);
-  ASSERT_TRUE(r.ok());
+  std::vector<std::optional<PageOob>> out;
+  ASSERT_TRUE(dev_.ReadOobBatch({0}, &out).ok());
   EXPECT_EQ(clock_.Now() - t0, tR);
-  EXPECT_EQ(r.value()->lpn, 9u);
+  ASSERT_TRUE(out[0].has_value());
+  EXPECT_EQ(out[0]->lpn, 9u);
   // A bank still programming: the sense queues behind the program.
   ASSERT_TRUE(dev_.ProgramPage(1, data.data(), {}).ok());
   SimNanos program_done = dev_.last_op_done();
-  std::vector<std::optional<PageOob>> out;
   ASSERT_TRUE(dev_.ReadOobBatch({1}, &out).ok());
   EXPECT_EQ(clock_.Now(), program_done + tR);
   EXPECT_EQ(dev_.stats().oob_reads, 2u);

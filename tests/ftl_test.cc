@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -16,59 +17,6 @@
 #include "ftl/page_ftl.h"
 
 namespace xftl::ftl {
-
-// Reads PageFtl's block table for the victim-selection reference below.
-class PageFtlTestPeer {
- public:
-  // The legacy O(num_blocks) linear victim scan: the reference the
-  // validity-bucketed picker must match under every policy.
-  static StatusOr<flash::BlockNum> PeekVictimLinear(const PageFtl& ftl) {
-    const auto& fc = ftl.device_->config();
-    flash::BlockNum best = flash::kInvalidPpn;
-    double best_score = -1;
-    uint64_t best_seq = ~0ull;
-    for (flash::BlockNum b = ftl.config_.meta_blocks; b < fc.num_blocks; ++b) {
-      const PageFtl::BlockInfo& blk = ftl.blocks_[b];
-      if (blk.kind != PageFtl::BlockInfo::Kind::kSealed) continue;
-      if (blk.valid_count >= fc.pages_per_block) continue;  // nothing to gain
-      if (ftl.config_.gc_policy == GcPolicy::kFifo) {
-        // Oldest seal wins, exact integer compare. (The scan originally
-        // computed `1e18 - double(sealed_seq)`, whose 128-ulp rounding
-        // folded nearby seal times together and silently tie-broke by block
-        // number.)
-        if (best == flash::kInvalidPpn || blk.sealed_seq < best_seq) {
-          best_seq = blk.sealed_seq;
-          best = b;
-        }
-        continue;
-      }
-      double score = 0;
-      switch (ftl.config_.gc_policy) {
-        case GcPolicy::kGreedy:
-          score = double(fc.pages_per_block - blk.valid_count);
-          break;
-        case GcPolicy::kCostBenefit: {
-          // LFS: benefit/cost = age * (1 - u) / 2u; a fully invalid block is
-          // free to collect, so give it the maximal score.
-          double u = double(blk.valid_count) / double(fc.pages_per_block);
-          double age = double(ftl.next_seq_ - blk.sealed_seq);
-          score = u == 0 ? 1e18 : age * (1.0 - u) / (2.0 * u);
-          break;
-        }
-        case GcPolicy::kFifo:
-          break;  // handled above
-      }
-      if (best == flash::kInvalidPpn || score > best_score) {
-        best_score = score;
-        best = b;
-      }
-    }
-    if (best == flash::kInvalidPpn) {
-      return Status::ResourceExhausted("garbage collection found no victim");
-    }
-    return best;
-  }
-};
 
 namespace {
 
@@ -374,7 +322,7 @@ TEST_F(PageFtlTest, GcCopyProgramFailRetiresABlockInsideTheCollection) {
     ASSERT_LT(i, 10000) << "no GC victim with valid pages";
     ASSERT_FALSE(HasFatalFailure());
     if (ftl_.free_block_count() < min_free) {
-      auto victim = ftl_.PeekVictim();
+      auto victim = ftl_.PickVictim();
       ASSERT_TRUE(victim.ok());
       if (ftl_.BlockValidCount(victim.value()) > 0) break;
     }
@@ -564,7 +512,7 @@ TEST(PageFtlFaultTest, UncorrectableReadSurfacesCorruption) {
   std::vector<uint8_t> out(fcfg.page_size);
   Status s = ftl.Read(0, out.data());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
-  EXPECT_EQ(ftl.stats().ecc_read_retries, SmallFtl().ecc.max_read_retries);
+  EXPECT_EQ(ftl.stats().ecc_read_retries, kEccMaxReadRetries);
   EXPECT_GE(dev.stats().ecc_uncorrectable, 1u);
 }
 
@@ -679,67 +627,86 @@ TEST(GcPolicyCompareTest, GreedyHasLowestWriteAmplification) {
   EXPECT_LE(greedy, fifo + 0.05);  // greedy never loses under uniform traffic
 }
 
-// Equivalence of the O(1) validity-bucketed victim selection against the
-// legacy full linear scan, checked continuously while an aged device churns.
-class GcVictimEquivalenceTest : public ::testing::TestWithParam<GcPolicy> {};
+// --- GC victim selection ----------------------------------------------------
 
-TEST_P(GcVictimEquivalenceTest, BucketedMatchesLinearScan) {
-  SimClock clock;
-  flash::FlashDevice dev(SmallFlash(), &clock);
-  FtlConfig cfg = SmallFtl();
-  cfg.gc_policy = GetParam();
-  cfg.num_logical_pages = 400;  // high utilization: many sealed blocks
-  PageFtl ftl(&dev, cfg);
+// One bank, so data blocks fill and seal in block order: lpn i lands on page
+// i % 8 of block 4 + i / 8, and each block is sealed, older than the next,
+// when a write opens the next. Fill() seals blocks 4..9 (lpn 48 opens block
+// 10); each test then trims pages to set every block's validity.
+class GcVictimTest : public ::testing::Test {
+ protected:
+  static constexpr flash::BlockNum kFirstData = 4;  // SmallFtl().meta_blocks
+  static constexpr uint32_t kPpb = 8;               // SmallFlash()'s
 
-  Rng rng(23);
-  std::vector<uint8_t> buf(dev.config().page_size, 1);
-  for (uint64_t i = 0; i < 400; ++i) ASSERT_TRUE(ftl.Write(i, buf.data()).ok());
-  uint64_t compared = 0;
-  for (uint64_t i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(ftl.Write(rng.Uniform(400), buf.data()).ok());
-    if (i % 7 != 0) continue;
-    auto bucketed = ftl.PeekVictim();
-    auto linear = PageFtlTestPeer::PeekVictimLinear(ftl);
-    ASSERT_EQ(bucketed.ok(), linear.ok());
-    if (bucketed.ok()) {
-      EXPECT_EQ(bucketed.value(), linear.value()) << "at write " << i;
-      compared++;
+  void Fill(GcPolicy policy) {
+    flash::FlashConfig fcfg = SmallFlash();
+    fcfg.num_banks = 1;
+    FtlConfig cfg = SmallFtl();
+    cfg.gc_policy = policy;
+    ftl_.reset();
+    dev_ = std::make_unique<flash::FlashDevice>(fcfg, &clock_);
+    ftl_ = std::make_unique<PageFtl>(dev_.get(), cfg);
+    std::vector<uint8_t> buf(fcfg.page_size, 0);
+    for (Lpn lpn = 0; lpn <= 6 * kPpb; ++lpn) {
+      ASSERT_TRUE(ftl_->Write(lpn, buf.data()).ok());
+      ASSERT_EQ(ftl_->MappingOf(lpn) / kPpb, kFirstData + lpn / kPpb);
     }
   }
-  EXPECT_GT(compared, 100u);  // the device really was GC-eligible throughout
-  ASSERT_GT(ftl.stats().gc_runs, 0u);
+  // Trims the pages of block `b` until `valid` remain.
+  void KeepValid(flash::BlockNum b, uint32_t valid) {
+    const Lpn first = (b - kFirstData) * kPpb;
+    for (Lpn lpn = first + valid; lpn < first + kPpb; ++lpn) {
+      ASSERT_TRUE(ftl_->Trim(lpn).ok());
+    }
+    ASSERT_EQ(ftl_->BlockValidCount(b), valid);
+  }
+
+  SimClock clock_;
+  std::unique_ptr<flash::FlashDevice> dev_;
+  std::unique_ptr<PageFtl> ftl_;
+};
+
+TEST_F(GcVictimTest, GreedyTakesFewestValidLowestBlockOnATie) {
+  ASSERT_NO_FATAL_FAILURE(Fill(GcPolicy::kGreedy));
+  KeepValid(4, 3);
+  KeepValid(5, 2);
+  KeepValid(6, 5);
+  KeepValid(7, 2);
+  auto victim = ftl_->PickVictim();
+  ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+  EXPECT_EQ(victim.value(), 5u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, GcVictimEquivalenceTest,
-                         ::testing::Values(GcPolicy::kGreedy,
-                                           GcPolicy::kCostBenefit,
-                                           GcPolicy::kFifo),
-                         [](const auto& info) {
-                           std::string name = GcPolicyName(info.param);
-                           name.erase(std::remove(name.begin(), name.end(), '-'),
-                                      name.end());
-                           return name;
-                         });
+TEST_F(GcVictimTest, CostBenefitTakesLowestFullyInvalidBlockWhateverItsAge) {
+  // The oldest block keeps one valid page; the two youngest keep none.
+  ASSERT_NO_FATAL_FAILURE(Fill(GcPolicy::kCostBenefit));
+  KeepValid(4, 1);
+  KeepValid(8, 0);
+  KeepValid(9, 0);
+  auto victim = ftl_->PickVictim();
+  ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+  EXPECT_EQ(victim.value(), 8u);
+}
 
-// Buckets must survive recovery: RebuildBlockState reconstructs them from
-// the scanned validity counts.
-TEST(GcVictimEquivalenceTest, BucketsRebuiltByRecovery) {
-  SimClock clock;
-  flash::FlashDevice dev(SmallFlash(), &clock);
-  FtlConfig cfg = SmallFtl();
-  PageFtl ftl(&dev, cfg);
-  Rng rng(29);
-  std::vector<uint8_t> buf(dev.config().page_size, 2);
-  for (uint64_t i = 0; i < 1500; ++i) {
-    ASSERT_TRUE(ftl.Write(rng.Uniform(200), buf.data()).ok());
-  }
-  ASSERT_TRUE(ftl.Flush().ok());
-  ASSERT_TRUE(ftl.Recover().ok());
-  auto bucketed = ftl.PeekVictim();
-  auto linear = PageFtlTestPeer::PeekVictimLinear(ftl);
-  ASSERT_EQ(bucketed.ok(), linear.ok());
-  if (bucketed.ok()) {
-    EXPECT_EQ(bucketed.value(), linear.value());
+TEST_F(GcVictimTest, FifoTakesOldestSealEvenWithMoreValidPages) {
+  ASSERT_NO_FATAL_FAILURE(Fill(GcPolicy::kFifo));
+  KeepValid(4, 7);
+  KeepValid(5, 0);
+  KeepValid(6, 0);
+  auto victim = ftl_->PickVictim();
+  ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+  EXPECT_EQ(victim.value(), 4u);
+}
+
+TEST_F(GcVictimTest, NoVictimWhenEverySealedBlockIsFullyValid) {
+  for (GcPolicy policy :
+       {GcPolicy::kGreedy, GcPolicy::kCostBenefit, GcPolicy::kFifo}) {
+    ASSERT_NO_FATAL_FAILURE(Fill(policy));
+    // The open block's only page goes invalid: open blocks are no victims.
+    ASSERT_TRUE(ftl_->Trim(6 * kPpb).ok());
+    EXPECT_EQ(ftl_->PickVictim().status().code(),
+              StatusCode::kResourceExhausted)
+        << GcPolicyName(policy);
   }
 }
 
@@ -913,7 +880,7 @@ TEST(RecoveryScanTest, PartialBlockTheRootCannotVouchForStaysSealed) {
   EXPECT_EQ(d.ftl.stats().recovery_blocks_resumed, 4u);  // the open ones
   // Sealed, it is greedy GC's next victim (nothing valid, lowest number);
   // resumed, it would be an open block out of GC's reach.
-  auto victim = d.ftl.PeekVictim();
+  auto victim = d.ftl.PickVictim();
   ASSERT_TRUE(victim.ok()) << victim.status().ToString();
   EXPECT_EQ(victim.value(), sealed);
 }

@@ -635,12 +635,14 @@ TEST(DegradedArrayTest, ReadsSurviveWhileOneMemberLinkFailed) {
   // retries, the first reset kills the link) while the rest of the array
   // is clean: reads on surviving stripes must keep succeeding.
   VolumeConfig vc = ArrayFixture::ThreeWide();
-  vc.member_specs.assign(3, SmallSpec());
-  vc.member_specs[1].link_fault.crc_error_prob = 1.0;
-  vc.member_specs[1].link_policy.max_retries = 0;
-  vc.member_specs[1].link_policy.degrade_after_resets = 1;
-  vc.member_specs[1].link_policy.fail_after_resets = 2;
+  vc.spec.link_policy.max_retries = 0;
+  vc.spec.link_policy.degrade_after_resets = 1;
+  vc.spec.link_policy.fail_after_resets = 2;
   ArrayFixture f(vc);
+  // Every transfer this test can make on member 1 fails its CRC.
+  for (uint64_t n = 1; n <= 16; ++n) {
+    f.vol->member(1)->device()->ScriptCrcError(n);
+  }
 
   // Seed only the healthy members (member 1 never accepts a transfer).
   std::vector<uint8_t> buf(f.ps, 0x42);

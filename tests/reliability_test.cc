@@ -161,7 +161,7 @@ TEST(WriteBufferCrashTest, TornProgramSurfacesAsUncorrectableEccRead) {
   // retries, gives up, and reports a plain uncorrectable read — no magic
   // "torn" status a real controller would not have.
   ftl::FtlStats stats;
-  ftl::EccEngine ecc(ftl::EccConfig{}, &clock, &stats);
+  ftl::EccEngine ecc(&clock, &stats);
   Status r = ecc.Read(&dev, 0, out.data());
   EXPECT_EQ(r.code(), StatusCode::kCorruption);
   EXPECT_GT(stats.ecc_read_retries, 0u);

@@ -486,6 +486,10 @@ int Replay(const std::string& path, int argc, char** argv) {
   std::string profile = bench::FlagString(argc, argv, "profile", "openssd");
   std::string ftl = bench::FlagString(argc, argv, "ftl", "xftl");
   long blocks = bench::FlagInt(argc, argv, "blocks", 512);
+  if (!bench::FlagOneOf("profile", profile, {"openssd", "s830"}) ||
+      !bench::FlagOneOf("ftl", ftl, {"xftl", "page"})) {
+    return 2;
+  }
 
   storage::SsdSpec spec = profile == "s830"
                               ? storage::S830Spec(uint32_t(blocks))
