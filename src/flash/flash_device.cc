@@ -69,15 +69,16 @@ Status FlashDevice::CheckPpn(Ppn ppn) const {
 }
 
 void FlashDevice::EnsureAllocated(Block& blk) {
-  if (blk.data.empty()) {
-    blk.data.assign(size_t(config_.pages_per_block) * config_.page_size, 0xff);
+  if (blk.data == nullptr) {
+    blk.data = std::make_unique_for_overwrite<uint8_t[]>(
+        size_t(config_.pages_per_block) * config_.page_size);
     blk.page_state.assign(config_.pages_per_block, PageState::kErased);
     blk.oob.assign(config_.pages_per_block, PageOob{});
   }
 }
 
 uint8_t* FlashDevice::PageData(Block& blk, uint32_t page) {
-  return blk.data.data() + size_t(page) * config_.page_size;
+  return blk.data.get() + size_t(page) * config_.page_size;
 }
 
 SimNanos FlashDevice::ScheduleOnBank(uint32_t bank, SimNanos latency,
@@ -171,7 +172,7 @@ Status FlashDevice::ReadPage(Ppn ppn, uint8_t* data, PageOob* oob,
   last_op_done_ = done;
   stats_.page_reads++;
 
-  if (blk.data.empty() || blk.page_state[page] == PageState::kErased) {
+  if (blk.data == nullptr || blk.page_state[page] == PageState::kErased) {
     std::memset(data, 0xff, config_.page_size);
     if (oob != nullptr) *oob = PageOob{};
     note(StatusCode::kOk);
@@ -216,7 +217,7 @@ Status FlashDevice::ReadOobBatch(const std::vector<Ppn>& ppns,
                                          config_.timings.read_page));
     const Block& blk = blocks_[block];
     uint32_t page = config_.PageInBlock(ppns[i]);
-    if (!blk.data.empty() && blk.page_state[page] != PageState::kErased) {
+    if (blk.data != nullptr && blk.page_state[page] != PageState::kErased) {
       (*out)[i] = blk.oob[page];
     }
   }
@@ -343,7 +344,8 @@ Status FlashDevice::EraseBlock(BlockNum block) {
     // is garbage and the block can no longer be programmed. Wear still
     // accrues (the erase pulse did run).
     EnsureAllocated(blk);
-    garbage_rng_.FillBytes(blk.data.data(), blk.data.size());
+    garbage_rng_.FillBytes(blk.data.get(), size_t(config_.pages_per_block) *
+                                               config_.page_size);
     std::fill(blk.page_state.begin(), blk.page_state.end(), PageState::kTorn);
     std::fill(blk.oob.begin(), blk.oob.end(), PageOob{});
     blk.next_page = config_.pages_per_block;
@@ -359,7 +361,7 @@ Status FlashDevice::EraseBlock(BlockNum block) {
     return Status::IoError("erase status failure at block " +
                            std::to_string(block));
   }
-  if (!blk.data.empty()) {
+  if (blk.data != nullptr) {
     // The bytes stay as they were: nothing reads an erased page's bytes.
     std::fill(blk.page_state.begin(), blk.page_state.end(),
               PageState::kErased);
@@ -405,7 +407,7 @@ void FlashDevice::ArmCrashPlan(const CrashPlan& plan) {
 
 void FlashDevice::DropPage(BlockNum block, uint32_t page) {
   Block& blk = blocks_[block];
-  if (blk.data.empty()) return;
+  if (blk.data == nullptr) return;
   blk.page_state[page] = PageState::kErased;
   blk.oob[page] = PageOob{};
   blk.next_page = std::min(blk.next_page, page);
@@ -524,7 +526,7 @@ void FlashDevice::PowerCut() {
 
 bool FlashDevice::IsProgrammed(Ppn ppn) const {
   const Block& blk = blocks_[config_.BlockOf(ppn)];
-  if (blk.data.empty()) return false;
+  if (blk.data == nullptr) return false;
   return blk.page_state[config_.PageInBlock(ppn)] != PageState::kErased;
 }
 
@@ -548,21 +550,21 @@ void FlashDevice::ClearFailure() {
 
 FlashDevice::PageState FlashDevice::PageStateOf(Ppn ppn) const {
   const Block& blk = blocks_[config_.BlockOf(ppn)];
-  if (blk.data.empty()) return PageState::kErased;
+  if (blk.data == nullptr) return PageState::kErased;
   return blk.page_state[config_.PageInBlock(ppn)];
 }
 
 const uint8_t* FlashDevice::PeekPageData(Ppn ppn) const {
   const Block& blk = blocks_[config_.BlockOf(ppn)];
-  if (blk.data.empty()) return nullptr;
+  if (blk.data == nullptr) return nullptr;
   const uint32_t page = config_.PageInBlock(ppn);
   if (blk.page_state[page] == PageState::kErased) return nullptr;
-  return blk.data.data() + size_t(page) * config_.page_size;
+  return blk.data.get() + size_t(page) * config_.page_size;
 }
 
 std::optional<PageOob> FlashDevice::PeekOob(Ppn ppn) const {
   const Block& blk = blocks_[config_.BlockOf(ppn)];
-  if (blk.data.empty()) return std::nullopt;
+  if (blk.data == nullptr) return std::nullopt;
   uint32_t page = config_.PageInBlock(ppn);
   if (blk.page_state[page] == PageState::kErased) return std::nullopt;
   return blk.oob[page];

@@ -47,6 +47,7 @@
 #define XFTL_FLASH_FLASH_DEVICE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -192,9 +193,10 @@ class FlashDevice {
 
  private:
   struct Block {
-    // Allocated lazily, pages_per_block pages. An erased page's bytes are
-    // stale: reads return 0xff by page_state, and a program overwrites them.
-    std::vector<uint8_t> data;
+    // Allocated lazily and uninitialized, pages_per_block pages. Only a
+    // programmed or torn page's bytes are ever read (an erased page reads
+    // 0xff by page_state), so untouched pages never become resident.
+    std::unique_ptr<uint8_t[]> data;
     std::vector<PageState> page_state;
     std::vector<PageOob> oob;
     uint32_t next_page = 0;      // in-order program cursor

@@ -11,10 +11,12 @@ StatusOr<BufferCache::Entry*> BufferCache::Get(uint64_t page,
     return &it->second;
   }
   misses_++;
-  XFTL_RETURN_IF_ERROR(EvictIfNeeded());
+  std::vector<uint8_t> buf;
+  XFTL_RETURN_IF_ERROR(EvictIfNeeded(&buf));
   Entry& e = entries_[page];
   e.page = page;
-  e.data.resize(dev_->page_size());
+  e.data = std::move(buf);
+  e.data.resize(dev_->page_size());  // a victim's buffer is already sized
   Status read = dev_->TxRead(tid, page, e.data.data());
   if (!read.ok()) {
     // The entry was never linked into the LRU; leaving it cached would hand
@@ -31,9 +33,11 @@ StatusOr<BufferCache::Entry*> BufferCache::Get(uint64_t page,
 StatusOr<BufferCache::Entry*> BufferCache::GetZeroed(uint64_t page) {
   auto it = entries_.find(page);
   if (it == entries_.end()) {
-    XFTL_RETURN_IF_ERROR(EvictIfNeeded());
+    std::vector<uint8_t> buf;
+    XFTL_RETURN_IF_ERROR(EvictIfNeeded(&buf));
     Entry& e = entries_[page];
     e.page = page;
+    e.data = std::move(buf);
     e.data.assign(dev_->page_size(), 0);
     lru_.push_front(page);
     e.lru_it = lru_.begin();
@@ -71,7 +75,7 @@ void BufferCache::ForEachDirty(const std::function<void(Entry*)>& fn) {
   }
 }
 
-Status BufferCache::EvictIfNeeded() {
+Status BufferCache::EvictIfNeeded(std::vector<uint8_t>* spare) {
   while (entries_.size() >= capacity_) {
     // Scan from the LRU tail for an evictable page (clean, or dirty and not
     // pinned). Pinned pages make the cache grow instead.
@@ -91,6 +95,7 @@ Status BufferCache::EvictIfNeeded() {
       steals_++;
     }
     lru_.erase(e.lru_it);
+    *spare = std::move(e.data);
     entries_.erase(victim);
   }
   return Status::OK();

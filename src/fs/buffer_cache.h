@@ -68,7 +68,9 @@ class BufferCache {
   uint64_t steals() const { return steals_; }
 
  private:
-  Status EvictIfNeeded();
+  // Evicts until one more entry fits, and moves the last victim's page
+  // buffer into `*spare` for the new entry to reuse.
+  Status EvictIfNeeded(std::vector<uint8_t>* spare);
 
   storage::TxBlockDevice* const dev_;
   const size_t capacity_;

@@ -1,5 +1,6 @@
 #include "fs/journal.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -8,10 +9,19 @@
 #include "fs/fs_format.h"
 
 namespace xftl::fs {
+namespace {
+
+// A descriptor page holds a 16-byte header (magic, txid, count), one 8-byte
+// home per copy, and its CRC in the last 4 bytes.
+uint32_t DescriptorHomes(uint32_t page_size) { return (page_size - 20) / 8; }
+
+}  // namespace
 
 Journal::Journal(storage::BlockDevice* dev, uint32_t start, uint32_t pages)
-    : dev_(dev), start_(start), pages_(pages) {
-  CHECK_GE(pages_, 3u);
+    : dev_(dev),
+      start_(start),
+      capacity_(std::min(pages - 2, DescriptorHomes(dev->page_size()))) {
+  CHECK_GE(pages, 3u);
 }
 
 Status Journal::CommitTransaction(const uint64_t* homes,

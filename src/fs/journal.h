@@ -30,8 +30,10 @@ class Journal {
  public:
   Journal(storage::BlockDevice* dev, uint32_t start, uint32_t pages);
 
-  // Maximum pages a single transaction may carry.
-  uint32_t capacity() const { return pages_ - 2; }
+  // Maximum pages a single transaction may carry: the region less its
+  // descriptor and commit pages, and no more homes than one descriptor page
+  // lists.
+  uint32_t capacity() const { return capacity_; }
 
   // Journals `n` pages (home page number `homes[i]`, contents `datas[i]`)
   // between two device FlushBarriers. After this returns, the transaction
@@ -51,7 +53,7 @@ class Journal {
  private:
   storage::BlockDevice* const dev_;
   const uint32_t start_;
-  const uint32_t pages_;
+  const uint32_t capacity_;
   uint64_t next_txid_ = 1;
   JournalStats stats_;
 };

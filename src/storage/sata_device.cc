@@ -189,9 +189,9 @@ void SataDevice::EnqueueCompletion(TxId t, const uint64_t* pages,
   cmd.fate = SampleFate();
   cmd.pages.assign(pages, pages + n);
   const uint32_t psz = ftl_->page_size();
-  cmd.data.resize(size_t{n} * psz);
+  cmd.data.reserve(size_t{n} * psz);
   for (size_t i = 0; i < n; ++i) {
-    std::copy(datas[i], datas[i] + psz, cmd.data.begin() + i * psz);
+    cmd.data.insert(cmd.data.end(), datas[i], datas[i] + psz);
   }
   for (size_t i = 0; i < n; ++i) last_write_tag_[pages[i]] = next_tag_;
   inflight_[next_tag_++] = std::move(cmd);

@@ -153,19 +153,40 @@ TEST(RngTest, FillBytesCoversBuffer) {
   EXPECT_GT(nonzero, 20);  // all-zero after fill would be astronomically rare
 }
 
+// Crc32c takes the CPU's CRC-32C instruction where there is one, and
+// Crc32cPortable's tables elsewhere. Every check runs over both, so a host
+// with the instruction still tests the tables.
+struct CrcPath {
+  const char* name;
+  uint32_t (*crc)(const void* data, size_t n, uint32_t init);
+};
+constexpr CrcPath kCrcPaths[] = {{"Crc32c", Crc32c},
+                                 {"Crc32cPortable", Crc32cPortable}};
+
 TEST(Crc32Test, KnownVector) {
-  // CRC-32C("123456789") = 0xE3069283 (well-known check value).
-  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    // CRC-32C("123456789") = 0xE3069283 (well-known check value).
+    EXPECT_EQ(path.crc("123456789", 9, 0), 0xE3069283u);
+  }
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {
-  std::string data(1024, 'x');
-  uint32_t crc = Crc32c(data.data(), data.size());
-  data[512] ^= 1;
-  EXPECT_NE(crc, Crc32c(data.data(), data.size()));
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    std::string data(1024, 'x');
+    uint32_t crc = path.crc(data.data(), data.size(), 0);
+    data[512] ^= 1;
+    EXPECT_NE(crc, path.crc(data.data(), data.size(), 0));
+  }
 }
 
-TEST(Crc32Test, EmptyInput) { EXPECT_EQ(Crc32c("", 0), 0u); }
+TEST(Crc32Test, EmptyInput) {
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    EXPECT_EQ(path.crc("", 0, 0), 0u);
+  }
+}
 
 // One bytewise CRC-32C step, independent of the library's tables.
 uint32_t ReferenceCrcStep(uint32_t state, uint8_t byte) {
@@ -181,23 +202,26 @@ TEST(Crc32Test, MatchesBytewiseReference) {
   Rng rng(21);
   std::vector<uint8_t> buf(kMaxLen + 8);
   rng.FillBytes(buf.data(), buf.size());
-  // Every length at every word alignment, extending a nonzero init.
-  constexpr uint32_t kInit = 0x9e3779b9u;
-  for (size_t start = 0; start < 8; ++start) {
-    uint32_t state = ~kInit;  // reference over buf[start, start + len)
-    for (size_t len = 0; len <= kMaxLen; ++len) {
-      ASSERT_EQ(Crc32c(buf.data() + start, len, kInit), ~state)
-          << "start " << start << " len " << len;
-      if (len < kMaxLen) state = ReferenceCrcStep(state, buf[start + len]);
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    // Every length at every word alignment, extending a nonzero init.
+    constexpr uint32_t kInit = 0x9e3779b9u;
+    for (size_t start = 0; start < 8; ++start) {
+      uint32_t state = ~kInit;  // reference over buf[start, start + len)
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(path.crc(buf.data() + start, len, kInit), ~state)
+            << "start " << start << " len " << len;
+        if (len < kMaxLen) state = ReferenceCrcStep(state, buf[start + len]);
+      }
     }
-  }
-  // Split and chain: a tail's CRC extending its head's is the whole CRC.
-  const uint32_t whole = Crc32c(buf.data(), kMaxLen);
-  for (size_t split = 0; split <= kMaxLen; ++split) {
-    ASSERT_EQ(Crc32c(buf.data() + split, kMaxLen - split,
-                     Crc32c(buf.data(), split)),
-              whole)
-        << "split " << split;
+    // Split and chain: a tail's CRC extending its head's is the whole CRC.
+    const uint32_t whole = path.crc(buf.data(), kMaxLen, 0);
+    for (size_t split = 0; split <= kMaxLen; ++split) {
+      ASSERT_EQ(path.crc(buf.data() + split, kMaxLen - split,
+                         path.crc(buf.data(), split, 0)),
+                whole)
+          << "split " << split;
+    }
   }
 }
 

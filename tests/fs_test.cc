@@ -641,6 +641,44 @@ TEST(FsJournalUnitTest, ReplayOnlyCompleteTransactions) {
   EXPECT_EQ(out, junk);
 }
 
+TEST(FsJournalUnitTest, FullDescriptorReplaysEveryHome) {
+  // On 1 KiB pages a descriptor lists fewer homes than 128 journal pages
+  // could hold copies. A transaction of capacity() pages must still replay
+  // every home: the descriptor's CRC may not overwrite the last one.
+  SimClock clock;
+  storage::SimSsd ssd(TestSpec(), &clock);
+  const uint32_t page_size = ssd.device()->page_size();
+  ASSERT_EQ(page_size, 1024u);
+  Journal journal(ssd.device(), /*start=*/100,
+                  OptionsFor(JournalMode::kOrdered).journal_pages);
+  const uint32_t n = journal.capacity();
+  std::vector<uint64_t> homes(n + 1);
+  std::vector<std::vector<uint8_t>> pages(n + 1);
+  std::vector<const uint8_t*> datas(n + 1);
+  for (uint32_t i = 0; i <= n; ++i) {
+    homes[i] = 300 + i;
+    pages[i].assign(page_size, uint8_t(i * 7 + 1));
+    datas[i] = pages[i].data();
+  }
+  EXPECT_EQ(journal.CommitTransaction(homes.data(), datas.data(), n + 1).code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_TRUE(journal.CommitTransaction(homes.data(), datas.data(), n).ok());
+
+  // Clobber every home, then replay.
+  std::vector<uint8_t> junk(page_size, 0x00);
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(ssd.device()->Write(homes[i], junk.data()).ok());
+  }
+  Status s = journal.Recover();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(journal.stats().replayed_pages, n);
+  std::vector<uint8_t> out(page_size);
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(ssd.device()->Read(homes[i], out.data()).ok());
+    EXPECT_EQ(out, pages[i]) << "home " << homes[i];
+  }
+}
+
 TEST(FsStatsTest, FsyncCountsTracked) {
   FsFixture f(JournalMode::kOrdered);
   auto fd = f.fs_->Create("s.db");
